@@ -210,6 +210,7 @@ def shared_table(minimum_limit: int = 1 << 16) -> PrimeTable:
         limit = 1 << 16
         while limit < minimum_limit:
             limit *= 4
+        limit = min(limit, max(minimum_limit, SIEVE_LIMIT))  # past the budget, sieving refuses
         _shared_table = PrimeTable(primes_up_to(limit).primes, limit)
     return _shared_table
 
@@ -282,7 +283,7 @@ def index_of(alpha: Sequence[int], table: PrimeTable | None = None) -> int:
     if table is None or len(table) < len(alpha):
         table = shared_table(_nth_prime_bound(len(alpha)))
         while len(table) < len(alpha):
-            table = shared_table(table.limit * 4)
+            table = shared_table(table.limit + 1)  # the next size up
     n = 1
     for slot, exp in alpha.pairs:
         p = table[slot]

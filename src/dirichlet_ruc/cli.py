@@ -426,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None, help="accepted, wall-time only")
+        p.add_argument("--threads", type=int, default=None, help="accepted and ignored")
         if with_input:
             p.add_argument("--input", required=True, help="problem JSON file")
         if with_p:

@@ -14,8 +14,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .bohr import PrimeAP, factorize, prime_ap_search
-from .dirichlet import DirichletPolynomial, dirichlet_kernel_l1, hp_norm
+from .bohr import PrimeAP, prime_ap_search
+from .dirichlet import (
+    DirichletPolynomial, dirichlet_kernel_l1, hp_norm, lift_arrays, scalar_polynomial
+)
 from .errors import DomainError, UndefinedRatioError
 from .randomized import hprad_norm, rademacher_average
 from .sampling import (
@@ -25,8 +27,8 @@ from .sampling import (
     STREAM_SUMMING,
     Estimate,
     SamplerConfig,
-    character_values,
-    torus_fractions,
+    panel_scope,
+    torus_characters,
     uniform_bits,
 )
 from .spaces import (
@@ -67,6 +69,7 @@ class SearchConfig:
             raise DomainError("restarts and iterations must be >= 1")
 
 
+@panel_scope()  # numerator and denominator read one torus panel
 def ruc_ratio(
     D: DirichletPolynomial, p: float, cfg: SamplerConfig | None = None
 ) -> RatioReport:
@@ -124,6 +127,7 @@ def _sup_normalize(a: np.ndarray) -> np.ndarray:
     return a if top == 0 else a / top
 
 
+@panel_scope()  # every evaluation of the search reads the same panels
 def ruc_constant_search(
     space: SpaceSpec,
     vectors: Sequence[Element],
@@ -318,12 +322,7 @@ def experiment_summing_basis(
         ratio = est.value / l2 if l2 > 0 else math.inf
         return SummingReport(a, est, l2, ratio, est.value >= l2)
 
-    alphas = [factorize(n) for n in range(1, m + 1)]
-    variables = max(len(al) for al in alphas)
-    exps = np.zeros((m, variables), dtype=np.int64)
-    for i, al in enumerate(alphas):
-        for slot, e in al.pairs:
-            exps[i, slot] = e
+    _, exps, _ = lift_arrays(scalar_polynomial(dict.fromkeys(range(1, m + 1), 1)))
 
     samples = cfg.samples
     chunk = max(64, (1 << 20) // max(m, 1))
@@ -331,8 +330,7 @@ def experiment_summing_basis(
     acc_sq = 0.0
     for lo in range(0, samples, chunk):
         count = min(chunk, samples - lo)
-        fractions = torus_fractions(cfg.seed, STREAM_SUMMING, count, variables, start=lo)
-        mult = character_values(exps, fractions) * a[None, :]  # (count, m)
+        mult = torus_characters(exps, cfg.seed, STREAM_SUMMING, samples, lo, count) * a[None, :]
         tails = np.cumsum(mult[:, ::-1], axis=1)[:, ::-1]
         sup = np.abs(tails).max(axis=1)
         g2 = sup**2

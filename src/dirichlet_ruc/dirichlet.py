@@ -24,10 +24,11 @@ from .sampling import (
     MODE_MC,
     MODE_QUADRATURE,
     STREAM_TORUS,
+    _CHUNK_BUDGET,
     Estimate,
     SamplerConfig,
     character_values,
-    torus_fractions,
+    torus_characters,
 )
 from .spaces import (
     CombinationEvaluator,
@@ -44,7 +45,6 @@ from .spaces import (
 )
 
 QUADRATURE_MAX_VARIABLES = 4
-_CHUNK_BUDGET = 1 << 21  # complex entries per matmul block
 
 
 @dataclass(frozen=True)
@@ -190,15 +190,13 @@ def _mc_norm(
     stream: int = STREAM_TORUS,
 ) -> Estimate:
     samples = cfg.samples
-    variables = exponents.shape[1]
     width = max(evaluator.grid_points, len(evaluator.xs))
     chunk = max(64, _CHUNK_BUDGET // max(width, 1))
     acc_p = 0.0
     acc_2p = 0.0
     for lo in range(0, samples, chunk):
         count = min(chunk, samples - lo)
-        fractions = torus_fractions(cfg.seed, stream, count, variables, start=lo)
-        multipliers = character_values(exponents, fractions)
+        multipliers = torus_characters(exponents, cfg.seed, stream, samples, lo, count)
         part_p, part_2p, _ = _mean_power(evaluator, multipliers, p)
         acc_p += part_p * count
         acc_2p += part_2p * count

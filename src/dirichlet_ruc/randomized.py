@@ -29,12 +29,11 @@ from .sampling import (
     Estimate,
     SamplerConfig,
     block_stderr,
-    character_values,
     combined_stderr,
     gaussian_samples,
     sign_samples,
     steinhaus_samples,
-    torus_fractions,
+    torus_characters,
 )
 from .spaces import (
     CombinationEvaluator,
@@ -263,57 +262,57 @@ def hprad_norm(
 
     exact_outer = m <= cfg.exact_cutoff
     patterns = 1 << m if exact_outer else min(4096, cfg.samples)
-    if exact_outer:
-        signs = _sign_patterns(m, 0, patterns)
+    if exact_outer:  # the negated half is mirrored in below, except at m = 2 (see there)
+        signs = _sign_patterns(m, 0, patterns // 2 if m > 2 else patterns)
     else:
         signs = sign_samples(cfg.seed, STREAM_OUTER_SIGNS, patterns, m).T
+    signs = np.ascontiguousarray(signs, dtype=np.complex128)  # F order would switch BLAS rounding
 
     samples = cfg.samples
-    variables = exps.shape[1]
     evaluator = CombinationEvaluator(D.space, xs)
     blocks = min(10, samples)
-    block_of = (np.arange(samples) * blocks) // samples
+    bounds = [-(-b * samples // blocks) for b in range(blocks + 1)]  # contiguous blocks
 
     coordinate = is_coordinate(D.space)
     if coordinate:
-        matrix = np.column_stack(evaluator.xs)  # (d, m)
+        matrix = evaluator.matrix  # (d, m)
+        d = matrix.shape[0]
         z_chunk = max(1, _PATTERN_CHUNK // max(patterns // 16, 1))
     else:
         grid = evaluator.matrix  # (grid_points, m)
         z_chunk = max(1, (1 << 22) // max(grid.shape[0] * patterns, 1))
 
-    power_sums = np.zeros((blocks, patterns))
-    counts = np.zeros(blocks, dtype=np.int64)
+    power_sums = np.zeros((blocks, signs.shape[1]))
     for lo in range(0, samples, z_chunk):
         count = min(z_chunk, samples - lo)
-        fractions = torus_fractions(cfg.seed, STREAM_TORUS, count, variables, start=lo)
-        mult = character_values(exps, fractions)  # (count, m)
+        mult = torus_characters(exps, cfg.seed, STREAM_TORUS, samples, lo, count)  # (count, m)
         if coordinate:
-            scaled = mult[:, None, :] * matrix[None, :, :]  # (count, d, m)
-            combos = scaled @ signs  # (count, d, patterns)
-            g = coordinate_norms(
-                D.space, np.moveaxis(combos, 1, 0).reshape(combos.shape[1], -1)
-            ).reshape(count, patterns)
+            if count > 1 and d > 1:  # one gemm per coordinate, written in place
+                combos = np.empty((d, count, signs.shape[1]), dtype=np.complex128)
+                for k in range(d):
+                    np.matmul(mult * matrix[k], signs, out=combos[k])
+            else:  # numpy would call gemv, which rounds unlike gemm: per-sample gemms
+                combos = np.moveaxis((mult[:, None, :] * matrix[None, :, :]) @ signs, 1, 0)
+            g = coordinate_norms(D.space, combos.reshape(d, -1))  # (count * patterns,)
         else:
             coeff = mult[:, :, None] * signs[None, :, :]  # (count, m, patterns)
             values = np.tensordot(grid, coeff, axes=([1], [1]))  # (grid, count, patterns)
-            r = D.space.r
-            g = (np.abs(values) ** r).mean(axis=0) ** (1.0 / r)
-        gp = g**p
+            g = (np.abs(values) ** D.space.r).mean(axis=0) ** (1.0 / D.space.r)
+        gp = (g**p).reshape(count, -1)
         for b in range(blocks):
-            mask = block_of[lo : lo + count] == b
-            if mask.any():
-                power_sums[b] += gp[mask].sum(axis=0)
-                counts[b] += int(mask.sum())
+            rows = slice(max(bounds[b], lo) - lo, min(bounds[b + 1], lo + count) - lo)
+            if rows.start < rows.stop:
+                power_sums[b] += gp[rows].sum(axis=0)
+    if exact_outer and m > 2:  # pattern 2^m - 1 - i negates pattern i, and ||-v|| = ||v||
+        # (m = 2 runs all 4 patterns: gemm rounds a 2-column tail unlike 4-column tiles)
+        power_sums = np.concatenate([power_sums, power_sums[:, ::-1]], axis=1)
 
     total_means = power_sums.sum(axis=0) / samples  # per-pattern E_z g^p
     inner = total_means ** (1.0 / p)
     value = float(inner.mean())
 
-    block_values = []
-    for b in range(blocks):
-        if counts[b] > 0:
-            block_values.append(float(((power_sums[b] / counts[b]) ** (1.0 / p)).mean()))
+    counts = np.diff(bounds)
+    block_values = [float(((power_sums[b] / counts[b]) ** (1.0 / p)).mean()) for b in range(blocks)]
     stderr = block_stderr(np.array(block_values))
     if not exact_outer and patterns > 1:
         stderr = math.sqrt(stderr**2 + float(inner.var(ddof=1)) / patterns)

@@ -10,6 +10,8 @@ finalizer applied to structured counters, vectorized over numpy uint64
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +30,9 @@ STREAM_GAUSSIAN = 4
 STREAM_OUTER_SIGNS = 5
 STREAM_SEARCH = 6
 STREAM_SUMMING = 7
+
+_CHUNK_BUDGET = 1 << 21  # complex entries per matmul block, and in the panel memo
+_PANELS: ContextVar[dict | None] = ContextVar("dirichlet_ruc_panels", default=None)
 
 
 @dataclass(frozen=True)
@@ -190,6 +195,34 @@ def character_values(exponents: np.ndarray, fractions: np.ndarray) -> np.ndarray
         for j in range(variables):
             acc += fractions[:, j : j + 1] * exp_u64[None, :, j]
     return fixed_point_to_complex(acc)
+
+
+@contextmanager
+def panel_scope():
+    """Memoize torus character panels inside the block; nested blocks share one memo."""
+    token = _PANELS.set({} if _PANELS.get() is None else _PANELS.get())
+    try:
+        yield
+    finally:
+        _PANELS.reset(token)
+
+
+def torus_characters(
+    exponents: np.ndarray, seed: int, stream: int, samples: int, start: int, count: int
+) -> np.ndarray:
+    """Rows [start, start + count) of the (samples, terms) panel of z^alpha at
+    the torus draws of (seed, stream).  Inside panel_scope, the first panels
+    drawn, up to _CHUNK_BUDGET entries in all, are memoized whole and handed out
+    as views (not to be written).  Rows are pure functions of their counters,
+    so a view and a fresh chunk agree bit for bit."""
+    memo, width = _PANELS.get(), exponents.shape[1]
+    key = (exponents.tobytes(), exponents.shape, seed, stream, samples)
+    if memo is not None and key not in memo:
+        if sum(v.size for v in memo.values()) + samples * len(exponents) <= _CHUNK_BUDGET:
+            memo[key] = character_values(exponents, torus_fractions(seed, stream, samples, width))
+    if memo is None or key not in memo:  # no scope, or no room left in the memo
+        return character_values(exponents, torus_fractions(seed, stream, count, width, start))
+    return memo[key][start : start + count]
 
 
 def block_stderr(block_values: np.ndarray) -> float:

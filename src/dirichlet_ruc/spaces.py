@@ -202,10 +202,6 @@ def scale_element(x: Element, c: complex) -> Element:
     return c * x if isinstance(x, TrigPolynomial) else np.asarray(x) * c
 
 
-def add_elements(x: Element, y: Element) -> Element:
-    return x + y
-
-
 def hilbert_norm(space: SpaceSpec, x: Element) -> float:
     """Exact norm for hilbertian spaces (modulus / l2 / Parseval)."""
     if not is_hilbertian(space):

@@ -32,6 +32,49 @@ def test_primes_up_to_budget():
         primes_up_to(SIEVE_LIMIT + 1)
 
 
+@pytest.fixture
+def recorded_sieves(monkeypatch):
+    """Limits requested from primes_up_to; every table holds the primes below
+    100 only, so the shared-table growth is seen without sieving to 10^8."""
+    from dirichlet_ruc import bohr
+
+    asked = []
+
+    def fake(limit):
+        asked.append(limit)
+        if limit > bohr.SIEVE_LIMIT:
+            return primes_up_to(limit)  # refuses before allocating
+        return primes_up_to(100)
+
+    monkeypatch.setattr(bohr, "primes_up_to", fake)
+    monkeypatch.setattr(bohr, "_shared_table", None)
+    return asked
+
+
+def test_shared_table_growth_stops_at_sieve_budget(recorded_sieves):
+    from dirichlet_ruc import ResourceError
+    from dirichlet_ruc.bohr import SIEVE_LIMIT, shared_table
+
+    # 4^k * 65536 overshoots 99_999_989 to 268_435_456; the budget suffices.
+    assert shared_table(99_999_989).limit == SIEVE_LIMIT
+    assert shared_table(67_108_865).limit == SIEVE_LIMIT
+    assert recorded_sieves == [SIEVE_LIMIT]  # the second call reused the table
+    with pytest.raises(ResourceError):
+        shared_table(SIEVE_LIMIT + 1)
+    assert recorded_sieves[-1] == SIEVE_LIMIT + 1
+
+
+def test_index_of_growth_stops_at_sieve_budget(recorded_sieves):
+    from dirichlet_ruc import ResourceError
+    from dirichlet_ruc.bohr import SIEVE_LIMIT
+
+    # The fake tables never hold a 41st prime: growth runs to the budget,
+    # then the next request is refused.
+    with pytest.raises(ResourceError):
+        index_of((0,) * 40 + (1,))
+    assert recorded_sieves[-3:] == [67_108_864, SIEVE_LIMIT, SIEVE_LIMIT + 1]
+
+
 def test_primes_table_lookup():
     table = primes_up_to(100)
     assert table.is_prime(97)

@@ -6,6 +6,7 @@ import pytest
 from dirichlet_ruc import (
     DirichletPolynomial,
     DomainError,
+    Estimate,
     FunctionLr,
     HilbertSpace,
     SamplerConfig,
@@ -28,6 +29,7 @@ from dirichlet_ruc import (
     summing_combination,
     type_constant_witness,
 )
+from dirichlet_ruc import constants, sampling
 
 CFG = SamplerConfig(seed=13, samples=2000)
 
@@ -121,6 +123,62 @@ def test_search_deterministic():
     b = ruc_constant_search(SupSpace(3), family, 2, scfg, cfg)
     assert a.report == b.report
     assert np.array_equal(a.coefficients, b.coefficients)
+
+
+def _counting_character_values(monkeypatch):
+    calls = []
+    original = sampling.character_values
+
+    def counted(exponents, fractions):
+        calls.append(fractions.shape[0])
+        return original(exponents, fractions)
+
+    monkeypatch.setattr(sampling, "character_values", counted)
+    return calls
+
+
+def test_search_shares_one_panel_and_leaves_no_memo(monkeypatch):
+    calls = _counting_character_values(monkeypatch)
+    family = summing_family(4)
+    cfg = SamplerConfig(seed=9, samples=700)
+    # From all ones, 3 sweeps of step 1/8 never zero a coefficient: every one
+    # of the 49 evaluations has the same 4-term support, so one panel.
+    scfg = SearchConfig(restarts=1, iterations=3, initial_step=0.125)
+    ruc_constant_search(SupSpace(4), family, 1, scfg, cfg)
+    assert calls == [700]
+    assert sampling._PANELS.get() is None
+
+
+def test_ruc_ratio_drops_memo_when_it_raises(monkeypatch):
+    seen = []
+
+    def negative_denominator(D, p, cfg):
+        seen.append(len(sampling._PANELS.get()))
+        return Estimate(value=-1.0)
+
+    monkeypatch.setattr(constants, "hp_norm", negative_denominator)
+    D = DirichletPolynomial(SupSpace(2), {2: [1, 0.5], 3: [0.25, 1]})
+    with pytest.raises(UndefinedRatioError):
+        ruc_ratio(D, 1, CFG)
+    assert seen == [1]  # hprad_norm's panel was memoized when the report failed
+    assert sampling._PANELS.get() is None
+    with pytest.raises(UndefinedRatioError):
+        ruc_ratio(scalar_polynomial({}), 1, CFG)
+    assert sampling._PANELS.get() is None
+
+
+@pytest.mark.parametrize("p", [1.0, 3.0])
+def test_search_identical_with_panel_memo_bypassed(monkeypatch, p):
+    family = [np.array(v) for v in ([1, 2j, 0], [0.5, -1, 1j], [1, 1, 1], [2, 0, -1j])]
+    cfg = SamplerConfig(seed=17, samples=900)
+    scfg = SearchConfig(restarts=2, iterations=3)
+    shared = ruc_constant_search(SupSpace(3), family, p, scfg, cfg)
+    calls = _counting_character_values(monkeypatch)
+    monkeypatch.setattr(sampling, "_CHUNK_BUDGET", 0)  # no panel fits: every chunk drawn afresh
+    fresh = ruc_constant_search(SupSpace(3), family, p, scfg, cfg)
+    assert len(calls) > 20
+    assert shared.coefficients.tobytes() == fresh.coefficients.tobytes()
+    assert shared.report == fresh.report
 
 
 def test_search_rejects_degenerate():

@@ -6,11 +6,13 @@ import pytest
 from dirichlet_ruc import (
     DirichletPolynomial,
     DomainError,
+    FunctionLr,
     HilbertSpace,
     SamplerConfig,
     SequenceSpace,
     ShapeError,
     SupSpace,
+    TrigPolynomial,
     UndefinedRatioError,
     contraction_check,
     gaussian_average,
@@ -22,7 +24,18 @@ from dirichlet_ruc import (
     scalar_polynomial,
     steinhaus_average,
 )
-from dirichlet_ruc.sampling import combined_stderr, uniform_bits
+from dirichlet_ruc.dirichlet import lift_arrays
+from dirichlet_ruc.sampling import (
+    STREAM_OUTER_SIGNS,
+    STREAM_TORUS,
+    block_stderr,
+    character_values,
+    combined_stderr,
+    sign_samples,
+    torus_fractions,
+    uniform_bits,
+)
+from dirichlet_ruc.spaces import CombinationEvaluator, coordinate_norms, is_coordinate
 
 from conftest import random_instances
 
@@ -111,6 +124,108 @@ def test_hprad_two_stage_close_to_enumerated_truth():
     two_stage = hprad_norm(D, 1, cfg)
     plain = hp_norm(D, 1, cfg, method="mc")
     assert abs(two_stage.value - plain.value) <= 3 * (two_stage.stderr + plain.stderr)
+
+
+def _hprad_full_enumeration(D, p, cfg):
+    """(value, stderr) of hprad_norm as computed before the half-pattern
+    kernel: all 2^m sign patterns (or the sampled ones), one batched product
+    per chunk of torus samples, per-block sums through boolean masks."""
+    xs, exps, _ = lift_arrays(D)
+    m = len(xs)
+    exact_outer = m <= cfg.exact_cutoff
+    patterns = 1 << m if exact_outer else min(4096, cfg.samples)
+    if exact_outer:
+        idx = np.arange(patterns, dtype=np.uint64)[None, :]
+        bits = (idx >> np.arange(m, dtype=np.uint64)[:, None]) & np.uint64(1)
+        signs = np.where(bits == 1, 1.0, -1.0)
+    else:
+        signs = sign_samples(cfg.seed, STREAM_OUTER_SIGNS, patterns, m).T
+    samples = cfg.samples
+    evaluator = CombinationEvaluator(D.space, xs)
+    blocks = min(10, samples)
+    block_of = (np.arange(samples) * blocks) // samples
+    coordinate = is_coordinate(D.space)
+    if coordinate:
+        matrix = np.column_stack(evaluator.xs)
+        z_chunk = max(1, (1 << 13) // max(patterns // 16, 1))
+    else:
+        grid = evaluator.matrix
+        z_chunk = max(1, (1 << 22) // max(grid.shape[0] * patterns, 1))
+    power_sums = np.zeros((blocks, patterns))
+    counts = np.zeros(blocks, dtype=np.int64)
+    for lo in range(0, samples, z_chunk):
+        count = min(z_chunk, samples - lo)
+        fractions = torus_fractions(cfg.seed, STREAM_TORUS, count, exps.shape[1], start=lo)
+        mult = character_values(exps, fractions)
+        if coordinate:
+            combos = (mult[:, None, :] * matrix[None, :, :]) @ signs
+            g = coordinate_norms(
+                D.space, np.moveaxis(combos, 1, 0).reshape(combos.shape[1], -1)
+            ).reshape(count, patterns)
+        else:
+            coeff = mult[:, :, None] * signs[None, :, :]
+            values = np.tensordot(grid, coeff, axes=([1], [1]))
+            g = (np.abs(values) ** D.space.r).mean(axis=0) ** (1.0 / D.space.r)
+        gp = g**p
+        for b in range(blocks):
+            mask = block_of[lo : lo + count] == b
+            if mask.any():
+                power_sums[b] += gp[mask].sum(axis=0)
+                counts[b] += int(mask.sum())
+    inner = (power_sums.sum(axis=0) / samples) ** (1.0 / p)
+    block_values = [
+        float(((power_sums[b] / counts[b]) ** (1.0 / p)).mean())
+        for b in range(blocks)
+        if counts[b] > 0
+    ]
+    stderr = block_stderr(np.array(block_values))
+    if not exact_outer and patterns > 1:
+        stderr = math.sqrt(stderr**2 + float(inner.var(ddof=1)) / patterns)
+    return float(inner.mean()), stderr
+
+
+def _guard_polynomial(space, m, rng):
+    support = sorted(int(n) for n in rng.choice(np.arange(2, 40), m, replace=False))
+    if isinstance(space, FunctionLr):
+        xs = []
+        for _ in range(m):
+            keys = {tuple(int(e) for e in rng.integers(-2, 3, size=space.k)) for _ in range(2)}
+            xs.append(TrigPolynomial({k: complex(*rng.standard_normal(2)) for k in keys}, space.k))
+    else:
+        xs = [rng.standard_normal(space.d) + 1j * rng.standard_normal(space.d) for _ in range(m)]
+    return DirichletPolynomial(space, dict(zip(support, xs)))
+
+
+GUARD_SPACES = [
+    SupSpace(4),
+    SequenceSpace(1.0, 3),
+    SequenceSpace(3.0, 5),
+    SequenceSpace(3.0, 1),  # a unit dimension takes the per-sample product path
+    HilbertSpace(4),
+    FunctionLr(1.0, 1),
+]
+
+
+@pytest.mark.parametrize("samples", [129, 1])
+@pytest.mark.parametrize("space", GUARD_SPACES, ids=repr)
+def test_hprad_half_patterns_match_full_enumeration_bitwise(space, samples):
+    # 129 samples leave one-row chunks (m = 10) next to full ones (m <= 9).
+    rng = np.random.default_rng(515)
+    for m in range(2, 11):
+        D = _guard_polynomial(space, m, rng)
+        for p in (1.0, 3.0):
+            cfg = SamplerConfig(seed=m, samples=samples)
+            est = hprad_norm(D, p, cfg)
+            assert (est.value, est.stderr) == _hprad_full_enumeration(D, p, cfg), (m, p)
+
+
+@pytest.mark.parametrize("space", [SupSpace(4), SequenceSpace(3.0, 1), FunctionLr(3.0, 2)], ids=repr)
+def test_hprad_sampled_outer_matches_previous_loop_bitwise(space):
+    rng = np.random.default_rng(516)
+    D = _guard_polynomial(space, 7, rng)
+    cfg = SamplerConfig(seed=3, samples=300, exact_cutoff=5)
+    est = hprad_norm(D, 1.0, cfg)
+    assert (est.value, est.stderr) == _hprad_full_enumeration(D, 1.0, cfg)
 
 
 def test_hprad_zero():

@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
 
-from dirichlet_ruc import DomainError, Estimate, GridPolicy, SamplerConfig
+from dirichlet_ruc import DomainError, Estimate, GridPolicy, SamplerConfig, sampling
 from dirichlet_ruc.sampling import (
+    character_values,
     gaussian_samples,
+    panel_scope,
     sign_samples,
     steinhaus_samples,
+    torus_characters,
+    torus_fractions,
     uniform_bits,
 )
+
+EXPS = np.array([[0, 0], [1, 0], [0, 1], [2, 1], [-1, 3]], dtype=np.int64)
 
 
 def test_estimate_invariants():
@@ -67,3 +73,74 @@ def test_gaussian_moments():
     r = gaussian_samples(11, 4, 200_000, 1, variant="real")
     assert abs((r**2).mean() - 1.0) < 0.02
     assert abs(r.mean()) < 0.01
+
+
+@pytest.fixture
+def character_calls(monkeypatch):
+    """Number of character_values calls made through the sampling module."""
+    calls = []
+
+    def counted(exponents, fractions):
+        calls.append(fractions.shape[0])
+        return character_values(exponents, fractions)
+
+    monkeypatch.setattr(sampling, "character_values", counted)
+    return calls
+
+
+def test_memoized_panel_rows_equal_fresh_chunks_bitwise():
+    with panel_scope():
+        for start, count in [(0, 64), (64, 100), (164, 1), (165, 835)]:
+            rows = torus_characters(EXPS, 11, 1, 1000, start, count)
+            fresh = character_values(EXPS, torus_fractions(11, 1, count, 2, start=start))
+            assert rows.tobytes() == fresh.tobytes()
+
+
+def test_panel_scope_is_dropped_on_exit_and_on_error(character_calls):
+    assert sampling._PANELS.get() is None
+    with panel_scope():
+        torus_characters(EXPS, 1, 1, 100, 0, 10)
+        assert len(sampling._PANELS.get()) == 1
+    assert sampling._PANELS.get() is None
+    with pytest.raises(RuntimeError):
+        with panel_scope():
+            torus_characters(EXPS, 1, 1, 100, 0, 10)
+            raise RuntimeError("boom")
+    assert sampling._PANELS.get() is None
+    # Outside a scope each call draws only its own chunk.
+    torus_characters(EXPS, 1, 1, 100, 0, 10)
+    torus_characters(EXPS, 1, 1, 100, 10, 10)
+    assert character_calls == [100, 100, 10, 10]
+
+
+def test_nested_scopes_share_one_panel(character_calls):
+    with panel_scope():
+        outer = torus_characters(EXPS, 2, 1, 500, 0, 500)
+        with panel_scope():
+            inner = torus_characters(EXPS, 2, 1, 500, 100, 50)
+        assert sampling._PANELS.get() is not None  # the inner exit kept the memo
+        again = torus_characters(EXPS, 2, 1, 500, 0, 500)
+    assert character_calls == [500]
+    assert np.shares_memory(outer, inner) and np.shares_memory(outer, again)
+    # Other exponents, seed, stream or sample count make another panel.
+    with panel_scope():
+        for exps, seed, stream, samples in [
+            (EXPS, 2, 1, 500), (EXPS[:4], 2, 1, 500), (EXPS, 3, 1, 500), (EXPS, 2, 4, 500),
+            (EXPS, 2, 1, 499),
+        ]:
+            torus_characters(exps, seed, stream, samples, 0, 10)
+    assert character_calls == [500, 500, 500, 500, 500, 499]
+
+
+def test_panel_memo_stays_within_chunk_budget(monkeypatch, character_calls):
+    monkeypatch.setattr(sampling, "_CHUNK_BUDGET", 2 * 100 * len(EXPS))
+    with panel_scope():
+        torus_characters(EXPS, 1, 1, 300, 0, 30)  # 300 rows exceed the budget
+        assert not sampling._PANELS.get()
+        for seed in (1, 2, 1, 3, 1):
+            torus_characters(EXPS, seed, 1, 100, 0, 10)
+            memo = sampling._PANELS.get()
+            assert sum(v.size for v in memo.values()) <= sampling._CHUNK_BUDGET
+        assert len(memo) == 2
+    # Two panels fit: seeds 1 and 2 are kept, seed 3 is drawn chunk by chunk.
+    assert character_calls == [30, 100, 100, 10]
