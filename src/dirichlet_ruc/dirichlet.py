@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .bohr import MultiIndex, factorize
 from .errors import DomainError, ResourceError
@@ -322,6 +321,8 @@ def dirichlet_kernel_l1(N: int) -> Estimate:
     The integrand is |sin(N t / 2) / sin(t / 2)|; adaptive quadrature is
     split at its zeros t = 2 pi k / N.
     """
+    from scipy import integrate  # imported on use: slow to import, needed only here
+
     N = int(N)
     if N < 1:
         raise DomainError("N must be >= 1")

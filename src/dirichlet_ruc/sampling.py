@@ -127,19 +127,37 @@ def _stream_key(seed: int, stream: int) -> np.uint64:
     return _mix64(base)
 
 
-def uniform_bits(seed: int, stream: int, count: int, width: int, start: int = 0) -> np.ndarray:
-    """(count, width) array of uniform uint64 words, indexed by counter."""
-    counters = (
-        np.arange(start, start + count, dtype=np.uint64)[:, None] * _U64(width)
-        + np.arange(width, dtype=np.uint64)[None, :]
-    )
+def uniform_bits(
+    seed: int,
+    stream: int,
+    count: int,
+    width: int,
+    start: int = 0,
+    columns: np.ndarray | None = None,
+) -> np.ndarray:
+    """(count, width) array of uniform uint64 words, indexed by counter.
+
+    Word (i, j) hashes counter (start + i) * width + j.  With `columns`, only
+    those columns are drawn: a (count, len(columns)) array whose every word
+    equals the matching word of the full draw.
+    """
+    cols = np.arange(width, dtype=np.uint64) if columns is None else np.asarray(columns, np.uint64)
+    rows = np.arange(start, start + count, dtype=np.uint64)
+    counters = rows[:, None] * _U64(width) + cols[None, :]
     with np.errstate(over="ignore"):
         return _mix64(_stream_key(seed, stream) + counters * _U64(_GOLDEN))
 
 
-def torus_fractions(seed: int, stream: int, count: int, width: int, start: int = 0) -> np.ndarray:
+def torus_fractions(
+    seed: int,
+    stream: int,
+    count: int,
+    width: int,
+    start: int = 0,
+    columns: np.ndarray | None = None,
+) -> np.ndarray:
     """Uniform torus angles as 64-bit fixed-point numerators (turns * 2**64)."""
-    return uniform_bits(seed, stream, count, width, start)
+    return uniform_bits(seed, stream, count, width, start, columns)
 
 
 def sign_samples(seed: int, stream: int, count: int, width: int, start: int = 0) -> np.ndarray:
@@ -182,18 +200,17 @@ def character_values(exponents: np.ndarray, fractions: np.ndarray) -> np.ndarray
 
     exponents: (terms, variables) integer matrix (any sign / magnitude).
     fractions: (samples, variables) uint64 fixed-point angle numerators.
-    Returns (samples, terms) complex multipliers of modulus 1.  The angle
-    accumulation is exact mod 1 thanks to uint64 wraparound.
+    Returns C-ordered (samples, terms) complex multipliers of modulus 1.
+    Only the nonzero exponents are added.  The angle accumulation is exact
+    uint64 arithmetic mod 2**64 (one turn), so neither the skipped zeros nor
+    the order of the adds can change a byte of the result.
     """
-    samples = fractions.shape[0]
-    terms, variables = exponents.shape
-    exp_u64 = np.asarray(
-        [[int(e) & _MASK for e in row] for row in exponents], dtype=np.uint64
-    ).reshape(terms, variables)
-    acc = np.zeros((samples, terms), dtype=np.uint64)
+    angles = np.ascontiguousarray(fractions.T)  # a contiguous row per variable
+    acc = np.zeros((exponents.shape[0], fractions.shape[0]), dtype=np.uint64)
     with np.errstate(over="ignore"):
-        for j in range(variables):
-            acc += fractions[:, j : j + 1] * exp_u64[None, :, j]
+        for t, j in zip(*(axis.tolist() for axis in np.nonzero(exponents))):
+            acc[t] += angles[j] * _U64(int(exponents[t, j]) & _MASK)
+    acc = acc.T.copy()  # (samples, terms), C-ordered; frees the transposed sums early
     return fixed_point_to_complex(acc)
 
 
@@ -211,17 +228,28 @@ def torus_characters(
     exponents: np.ndarray, seed: int, stream: int, samples: int, start: int, count: int
 ) -> np.ndarray:
     """Rows [start, start + count) of the (samples, terms) panel of z^alpha at
-    the torus draws of (seed, stream).  Inside panel_scope, the first panels
-    drawn, up to _CHUNK_BUDGET entries in all, are memoized whole and handed out
-    as views (not to be written).  Rows are pure functions of their counters,
-    so a view and a fresh chunk agree bit for bit."""
-    memo, width = _PANELS.get(), exponents.shape[1]
+    the torus draws of (seed, stream).
+
+    Only the variables some term uses are drawn: their counters, and so their
+    words, are those of the full (samples, variables) draw, and an unused
+    variable contributes exponent 0, so the bytes are those of the full panel.
+    Inside panel_scope, the first panels drawn, up to _CHUNK_BUDGET entries in
+    all, are memoized whole and handed out as views (not to be written).  Rows
+    are pure functions of their counters, so a view and a fresh chunk agree
+    bit for bit."""
+
+    def draw(lo: int, rows: int) -> np.ndarray:
+        used = np.flatnonzero(exponents.any(axis=0))
+        fractions = torus_fractions(seed, stream, rows, exponents.shape[1], lo, columns=used)
+        return character_values(exponents[:, used], fractions)
+
+    memo = _PANELS.get()
     key = (exponents.tobytes(), exponents.shape, seed, stream, samples)
     if memo is not None and key not in memo:
         if sum(v.size for v in memo.values()) + samples * len(exponents) <= _CHUNK_BUDGET:
-            memo[key] = character_values(exponents, torus_fractions(seed, stream, samples, width))
+            memo[key] = draw(0, samples)
     if memo is None or key not in memo:  # no scope, or no room left in the memo
-        return character_values(exponents, torus_fractions(seed, stream, count, width, start))
+        return draw(start, count)
     return memo[key][start : start + count]
 
 

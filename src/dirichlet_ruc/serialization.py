@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-import jsonschema
 import numpy as np
 
 from .dirichlet import DirichletPolynomial
@@ -172,6 +171,8 @@ def parse_problem(text: bytes | str) -> ParsedProblem:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid JSON: {exc}") from exc
+    import jsonschema  # imported on use, so commands that read no problem file skip it
+
     try:
         jsonschema.validate(data, PROBLEM_SCHEMA)
     except jsonschema.ValidationError as exc:

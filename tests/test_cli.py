@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import dirichlet_ruc
 from dirichlet_ruc import ValidationError, parse_problem, serialize_problem
 
 from conftest import run_cli
@@ -199,3 +202,19 @@ def test_json_format_is_valid_json():
     assert code == 0
     rows = json.loads(out)
     assert rows[0]["value"] == 2.0
+
+
+def test_cli_import_leaves_scipy_and_jsonschema_unloaded():
+    # Both load on first use (the Dirichlet kernel, a problem file), so
+    # commands that need neither do not pay for importing them.
+    src = str(Path(dirichlet_ruc.__file__).resolve().parents[1])
+    code = (
+        "import sys, dirichlet_ruc.cli; "
+        "print(sorted(m for m in ('scipy', 'jsonschema') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

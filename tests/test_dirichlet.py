@@ -8,7 +8,9 @@ from dirichlet_ruc import (
     DirichletPolynomial,
     DomainError,
     FunctionLr,
+    GridPolicy,
     HilbertSpace,
+    ResourceError,
     SamplerConfig,
     SequenceSpace,
     SupSpace,
@@ -202,3 +204,16 @@ def test_function_space_polynomial_norms():
     est = hp_norm(D, 2, SamplerConfig(seed=4, samples=400))
     # E_z || 1 + w z ||_{L1(w)}^2: the inner norm is constant 4/pi by rotation
     assert abs(est.value - 4 / math.pi) <= 3 * (est.stderr + est.quad_error) + 2e-2
+
+
+def test_quadrature_grid_budget_holds_at_its_boundary():
+    # Frequencies 2, 3, 6: two variables of top exponent 1, a 16 x 16 grid.
+    D = DirichletPolynomial(SupSpace(2), {2: [1, 0.5], 3: [0.25, -1], 6: [1j, 1]})
+    at = SamplerConfig(seed=5, samples=400, grid_policy=GridPolicy(max_points=256))
+    est = hp_norm(D, 2, at)
+    assert (est.mode, est.samples_used) == ("quadrature", 256)
+    below = SamplerConfig(seed=5, samples=400, grid_policy=GridPolicy(max_points=255))
+    est = hp_norm(D, 2, below)
+    assert (est.mode, est.samples_used) == ("mc", 400)
+    with pytest.raises(ResourceError):
+        hp_norm(D, 2, below, method="quadrature")

@@ -21,6 +21,7 @@ from dirichlet_ruc import (
     kahane_ratio,
     rad_norm,
     rademacher_average,
+    randomized,
     scalar_polynomial,
     steinhaus_average,
 )
@@ -226,6 +227,45 @@ def test_hprad_sampled_outer_matches_previous_loop_bitwise(space):
     cfg = SamplerConfig(seed=3, samples=300, exact_cutoff=5)
     est = hprad_norm(D, 1.0, cfg)
     assert (est.value, est.stderr) == _hprad_full_enumeration(D, 1.0, cfg)
+
+
+def test_rademacher_average_enumerates_up_to_exact_cutoff():
+    rng = np.random.default_rng(517)
+    space = SequenceSpace(1.0, 3)
+    xs = [rng.standard_normal(3) for _ in range(5)]
+    cfg = SamplerConfig(seed=4, samples=500, exact_cutoff=4)
+    at = rademacher_average(xs[:4], space, 3.0, cfg)
+    assert (at.mode, at.samples_used, at.stderr) == ("exact", 16, 0.0)
+    past = rademacher_average(xs, space, 3.0, cfg)
+    assert (past.mode, past.samples_used) == ("mc", 500) and past.stderr > 0
+
+
+def test_hprad_enumerates_up_to_exact_cutoff(monkeypatch):
+    outer_draws = []
+
+    def recorded(seed, stream, count, width, start=0):
+        if stream == STREAM_OUTER_SIGNS:
+            outer_draws.append((count, width))
+        return sign_samples(seed, stream, count, width, start)
+
+    monkeypatch.setattr(randomized, "sign_samples", recorded)
+    rng = np.random.default_rng(518)
+    space = SupSpace(3)
+    D = _guard_polynomial(space, 5, rng)
+    cfg = SamplerConfig(seed=9, samples=256, exact_cutoff=4)
+    at_terms = dict(list(D.terms.items())[:4])
+    at = hprad_norm(DirichletPolynomial(space, at_terms), 1.0, cfg)
+    assert at.mode == "mc" and outer_draws == []
+    # Enumerated: the mean over all 16 sign patterns of the inner H_1 norms,
+    # each taken on the same torus panel.
+    inner = []
+    for pattern in range(16):
+        signs = [1 if pattern >> j & 1 else -1 for j in range(4)]
+        flipped = {n: s * x for s, (n, x) in zip(signs, at_terms.items())}
+        inner.append(hp_norm(DirichletPolynomial(space, flipped), 1.0, cfg, method="mc").value)
+    assert at.value == pytest.approx(float(np.mean(inner)), rel=1e-12)
+    past = hprad_norm(D, 1.0, cfg)
+    assert past.mode == "mc" and outer_draws == [(256, 5)]
 
 
 def test_hprad_zero():

@@ -1,9 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dirichlet_ruc import DomainError, Estimate, GridPolicy, SamplerConfig, sampling
+from dirichlet_ruc import (
+    DirichletPolynomial,
+    DomainError,
+    Estimate,
+    GridPolicy,
+    SamplerConfig,
+    SupSpace,
+    dirichlet,
+    hp_norm,
+    sampling,
+)
+from dirichlet_ruc.dirichlet import lift_arrays
 from dirichlet_ruc.sampling import (
     character_values,
+    fixed_point_to_complex,
     gaussian_samples,
     panel_scope,
     sign_samples,
@@ -144,3 +158,118 @@ def test_panel_memo_stays_within_chunk_budget(monkeypatch, character_calls):
         assert len(memo) == 2
     # Two panels fit: seeds 1 and 2 are kept, seed 3 is drawn chunk by chunk.
     assert character_calls == [30, 100, 100, 10]
+
+
+# --- sparse character engine: bytes equal to the all-variables draw and loop
+
+
+def _character_values_all_variables(exponents, fractions):
+    """character_values as it was before the sparse engine: one add over the
+    whole (samples, terms) accumulator per variable, zero exponents included."""
+    samples = fractions.shape[0]
+    terms, variables = exponents.shape
+    exp_u64 = np.asarray(
+        [[int(e) & ((1 << 64) - 1) for e in row] for row in exponents], dtype=np.uint64
+    ).reshape(terms, variables)
+    acc = np.zeros((samples, terms), dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        for j in range(variables):
+            acc += fractions[:, j : j + 1] * exp_u64[None, :, j]
+    return fixed_point_to_complex(acc)
+
+
+def _dense_torus_characters(exponents, seed, stream, samples, start, count):
+    fractions = torus_fractions(seed, stream, count, exponents.shape[1], start)
+    return _character_values_all_variables(exponents, fractions)
+
+
+_EXPONENT = st.one_of(
+    st.just(0),
+    st.integers(-6, 6),
+    st.integers(2**62 - 4, 2**62 + 4),
+    st.integers(-(2**62) - 4, -(2**62) + 4),
+)
+
+
+@st.composite
+def exponent_matrices(draw, max_terms=6, max_variables=9):
+    terms = draw(st.integers(1, max_terms))
+    variables = draw(st.integers(0, max_variables))
+    entries = draw(st.lists(_EXPONENT, min_size=terms * variables, max_size=terms * variables))
+    exps = np.array(entries, dtype=np.int64).reshape(terms, variables)
+    if draw(st.booleans()):
+        exps[draw(st.integers(0, terms - 1))] = 0  # the n = 1 term
+    if variables and draw(st.booleans()):
+        exps[:, draw(st.integers(0, variables - 1))] = 0  # a variable no term uses
+    return exps
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    stream=st.integers(1, 7),
+    count=st.integers(0, 40),
+    width=st.integers(1, 300),
+    start=st.integers(0, 2**40),
+    data=st.data(),
+)
+def test_uniform_bits_columns_equal_full_draw_columns(seed, stream, count, width, start, data):
+    columns = np.array(
+        data.draw(st.lists(st.integers(0, width - 1), max_size=12)), dtype=np.int64
+    )
+    part = uniform_bits(seed, stream, count, width, start, columns=columns)
+    full = uniform_bits(seed, stream, count, width, start)
+    assert part.shape == (count, len(columns)) and part.dtype == np.uint64
+    assert part.tobytes() == full[:, columns].tobytes()
+    assert torus_fractions(seed, stream, count, width, start, columns).tobytes() == part.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(exps=exponent_matrices(), seed=st.integers(0, 2**31), samples=st.integers(0, 50))
+def test_character_values_match_all_variables_loop_bitwise(exps, seed, samples):
+    fractions = torus_fractions(seed, 1, samples, exps.shape[1])
+    got = character_values(exps, fractions)
+    assert got.dtype == np.complex128 and got.flags.c_contiguous
+    assert got.shape == (samples, len(exps))
+    assert got.tobytes() == _character_values_all_variables(exps, fractions).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    exps=exponent_matrices(),
+    seed=st.integers(0, 2**31),
+    samples=st.integers(1, 60),
+    data=st.data(),
+)
+def test_torus_characters_same_bytes_in_and_out_of_scope(exps, seed, samples, data):
+    start = data.draw(st.integers(0, samples - 1))
+    count = data.draw(st.integers(1, samples - start))
+    outside = torus_characters(exps, seed, 1, samples, start, count)
+    with panel_scope():
+        inside = torus_characters(exps, seed, 1, samples, start, count)
+    dense = _dense_torus_characters(exps, seed, 1, samples, start, count)
+    assert outside.flags.c_contiguous and inside.flags.c_contiguous
+    assert outside.tobytes() == inside.tobytes() == dense.tobytes()
+
+
+def test_gapped_sparse_support_matches_dense_path_and_draws_used_columns(monkeypatch):
+    D = DirichletPolynomial(
+        SupSpace(3), {2: [1.0, 0.5j, -1], 7: [0.25, 1, 2j], 4999: [-0.5, 0.75, 1]}
+    )
+    _, exps, _ = lift_arrays(D)
+    assert exps.shape == (3, 669)  # 4999 is the 669th prime
+    cfg = SamplerConfig(seed=17, samples=3000)
+    with monkeypatch.context() as patched:
+        patched.setattr(dirichlet, "torus_characters", _dense_torus_characters)
+        dense = hp_norm(D, 1.0, cfg, method="mc")
+    drawn = []
+
+    def counted(*args, **kwargs):
+        words = uniform_bits(*args, **kwargs)
+        drawn.append(words.shape)
+        return words
+
+    monkeypatch.setattr(sampling, "uniform_bits", counted)
+    sparse = hp_norm(D, 1.0, cfg, method="mc")
+    assert sparse.mode == "mc" and sparse == dense
+    assert drawn == [(3000, 3)]  # only the columns of the primes 2, 7 and 4999
