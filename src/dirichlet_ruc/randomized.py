@@ -2,10 +2,11 @@
 
 The workhorse is (E || sum_n c_n(omega) x_n ||^q)^(1/q) where c_n are
 Rademacher signs, Steinhaus rotations, or Gaussians.  Sign averages are
-exact (full enumeration of 2^m patterns) up to `exact_cutoff`, Monte Carlo
-beyond; rotations and Gaussians are Monte Carlo with closed forms where
-moments make them available.  All sampling is counter-based: identical
-configs give identical Estimates.
+exact up to `exact_cutoff`, Monte Carlo beyond: the exact mean runs over
+all 2^m patterns but evaluates only half of them, since a pattern and its
+negation give the same norm.  Rotations and Gaussians are Monte Carlo with
+closed forms where moments make them available.  All sampling is
+counter-based: identical configs give identical Estimates.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .spaces import (
     SpaceSpec,
     as_element,
     coordinate_norms,
+    coordinate_norms_of_rows,
     element_is_zero,
     hilbert_norm,
     is_coordinate,
@@ -64,10 +66,18 @@ def _sign_patterns(m: int, lo: int, hi: int) -> np.ndarray:
     return np.where(bits == 1, 1.0, -1.0)
 
 
-def _evaluators(space: SpaceSpec, xs: Sequence[Element]):
-    full = CombinationEvaluator(space, xs)
-    half = None if is_coordinate(space) else CombinationEvaluator(space, xs, grid_scale=0.5)
-    return full, half
+def _halved(m: int) -> bool:
+    """Whether exact enumeration evaluates only patterns [0, 2^(m-1)) and
+    mirrors the rest in.  m = 2 evaluates all 4: gemm rounds a 2-column
+    product unlike its 4-column tiles when the products are inexact."""
+    return m > 2
+
+
+def _mirrored(values: np.ndarray) -> np.ndarray:
+    """Values over sign patterns [0, 2h), given those over [0, h) on the last
+    axis, where 2h = 2^m: pattern 2^m - 1 - i negates pattern i, and
+    ||-v|| = ||v|| bit for bit, so the second half is the first reversed."""
+    return np.concatenate([values, values[..., ::-1]], axis=-1)
 
 
 def _multiplier_moments(
@@ -77,27 +87,45 @@ def _multiplier_moments(
     total: int,
     powers: Sequence[float],
     mc: bool,
+    mirrored: bool = False,
 ) -> list[Estimate]:
-    """Estimates of (E g^q)^(1/q) for each q, sharing one pass of multipliers."""
-    full, half = _evaluators(space, xs)
-    acc = np.zeros(len(powers))
+    """Estimates of (E g^q)^(1/q) for each q, sharing one pass of multipliers.
+
+    With `mirrored` the chunks enumerate sign patterns [0, total / 2) only.
+    Sums still run over chunks of all `total` patterns in pattern order:
+    a single chunk is extended by its reverse, and with several chunks the
+    reverse of chunk c is chunk C - 1 - c, whose sum is added after the
+    evaluated ones.
+    """
+    evaluators = [CombinationEvaluator(space, xs)]
+    if not is_coordinate(space):  # the half grid gives the quadrature error
+        evaluators.append(CombinationEvaluator(space, xs, grid_scale=0.5))
+    sums = np.zeros((len(evaluators), len(powers)))
     acc_sq = np.zeros(len(powers))
-    acc_half = np.zeros(len(powers))
+    late = []  # (evaluator, power, sum) of the mirrored chunks C - 1 - c
     for chunk in multiplier_chunks:
-        g = full.norms(chunk)
-        g_half = half.norms(chunk) if half is not None else None
-        for i, q in enumerate(powers):
-            gq = g**q
-            acc[i] += float(gq.sum())
-            acc_sq[i] += float((gq**2).sum())
-            if g_half is not None:
-                acc_half[i] += float((g_half**q).sum())
+        for e, evaluator in enumerate(evaluators):
+            g = evaluator.norms(chunk)
+            for i, q in enumerate(powers):
+                gq = g**q
+                if mc and e == 0:
+                    acc_sq[i] += float((gq**2).sum())
+                if mirrored:
+                    gq = _mirrored(gq)
+                    if gq.size > _PATTERN_CHUNK:
+                        late.append((e, i, float(gq[g.size :].sum())))
+                        gq = gq[: g.size]
+                sums[e, i] += float(gq.sum())
+    for e, i, value in reversed(late):
+        sums[e, i] += value
+    acc, acc_half = sums[0], sums[-1]
+    half = len(evaluators) > 1
     out = []
     for i, q in enumerate(powers):
         mean = float(acc[i]) / total
         value = mean ** (1.0 / q) if mean > 0 else 0.0
         quad_error = 0.0
-        if half is not None:
+        if half:
             half_mean = acc_half[i] / total
             half_value = half_mean ** (1.0 / q) if half_mean > 0 else 0.0
             quad_error = abs(value - half_value)
@@ -112,7 +140,7 @@ def _multiplier_moments(
                          quad_error=quad_error)
             )
         else:
-            mode = MODE_EXACT if half is None else MODE_QUADRATURE
+            mode = MODE_QUADRATURE if half else MODE_EXACT
             out.append(
                 Estimate(value=value, samples_used=total, mode=mode, quad_error=quad_error)
             )
@@ -131,13 +159,15 @@ def _sign_moments(
 
     if m <= cfg.exact_cutoff:
         total = 1 << m
+        mirrored = _halved(m)
+        evaluated = total // 2 if mirrored else total
 
         def chunks():
-            for lo in range(0, total, _PATTERN_CHUNK):
-                block = _sign_patterns(m, lo, min(lo + _PATTERN_CHUNK, total))
+            for lo in range(0, evaluated, _PATTERN_CHUNK):
+                block = _sign_patterns(m, lo, min(lo + _PATTERN_CHUNK, evaluated))
                 yield block if scale_col is None else block * scale_col
 
-        return _multiplier_moments(space, xs, chunks(), total, powers, mc=False)
+        return _multiplier_moments(space, xs, chunks(), total, powers, mc=False, mirrored=mirrored)
 
     total = cfg.samples
 
@@ -240,6 +270,17 @@ def rad_norm(xs: Sequence, space: SpaceSpec, cfg: SamplerConfig | None = None) -
     return rademacher_average(xs, space, 1.0, cfg)
 
 
+def _coordinate_rows(
+    mult: np.ndarray, matrix: np.ndarray, signs: np.ndarray, out: np.ndarray
+):
+    """Coordinate k of every (sample, pattern) combination, k = 0, 1, ...,
+    each written by one gemm into the leading rows of `out`."""
+    row = out[: mult.shape[0]]
+    for coefficients in matrix:
+        np.matmul(mult * coefficients, signs, out=row)
+        yield row
+
+
 def hprad_norm(
     D: DirichletPolynomial, p: float, cfg: SamplerConfig | None = None
 ) -> Estimate:
@@ -262,8 +303,8 @@ def hprad_norm(
 
     exact_outer = m <= cfg.exact_cutoff
     patterns = 1 << m if exact_outer else min(4096, cfg.samples)
-    if exact_outer:  # the negated half is mirrored in below, except at m = 2 (see there)
-        signs = _sign_patterns(m, 0, patterns // 2 if m > 2 else patterns)
+    if exact_outer:  # the negated half is mirrored in below
+        signs = _sign_patterns(m, 0, patterns // 2 if _halved(m) else patterns)
     else:
         signs = sign_samples(cfg.seed, STREAM_OUTER_SIGNS, patterns, m).T
     signs = np.ascontiguousarray(signs, dtype=np.complex128)  # F order would switch BLAS rounding
@@ -278,6 +319,9 @@ def hprad_norm(
         matrix = evaluator.matrix  # (d, m)
         d = matrix.shape[0]
         z_chunk = max(1, _PATTERN_CHUNK // max(patterns // 16, 1))
+        # one buffer for the gemms of every chunk: a fresh one per chunk
+        # costs a page fault per 4 KiB written
+        buffer = np.empty((min(z_chunk, samples), signs.shape[1]), dtype=np.complex128)
     else:
         grid = evaluator.matrix  # (grid_points, m)
         z_chunk = max(1, (1 << 22) // max(grid.shape[0] * patterns, 1))
@@ -287,13 +331,12 @@ def hprad_norm(
         count = min(z_chunk, samples - lo)
         mult = torus_characters(exps, cfg.seed, STREAM_TORUS, samples, lo, count)  # (count, m)
         if coordinate:
-            if count > 1 and d > 1:  # one gemm per coordinate, written in place
-                combos = np.empty((d, count, signs.shape[1]), dtype=np.complex128)
-                for k in range(d):
-                    np.matmul(mult * matrix[k], signs, out=combos[k])
+            if count > 1 and d > 1:  # one gemm per coordinate, reduced as it arrives
+                rows = _coordinate_rows(mult, matrix, signs, buffer)
+                g = coordinate_norms_of_rows(D.space, rows)
             else:  # numpy would call gemv, which rounds unlike gemm: per-sample gemms
                 combos = np.moveaxis((mult[:, None, :] * matrix[None, :, :]) @ signs, 1, 0)
-            g = coordinate_norms(D.space, combos.reshape(d, -1))  # (count * patterns,)
+                g = coordinate_norms(D.space, combos.reshape(d, -1))  # (count * patterns,)
         else:
             coeff = mult[:, :, None] * signs[None, :, :]  # (count, m, patterns)
             values = np.tensordot(grid, coeff, axes=([1], [1]))  # (grid, count, patterns)
@@ -303,9 +346,8 @@ def hprad_norm(
             rows = slice(max(bounds[b], lo) - lo, min(bounds[b + 1], lo + count) - lo)
             if rows.start < rows.stop:
                 power_sums[b] += gp[rows].sum(axis=0)
-    if exact_outer and m > 2:  # pattern 2^m - 1 - i negates pattern i, and ||-v|| = ||v||
-        # (m = 2 runs all 4 patterns: gemm rounds a 2-column tail unlike 4-column tiles)
-        power_sums = np.concatenate([power_sums, power_sums[:, ::-1]], axis=1)
+    if exact_outer and _halved(m):
+        power_sums = _mirrored(power_sums)
 
     total_means = power_sums.sum(axis=0) / samples  # per-pattern E_z g^p
     inner = total_means ** (1.0 / p)

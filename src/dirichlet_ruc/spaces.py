@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -211,21 +211,43 @@ def hilbert_norm(space: SpaceSpec, x: Element) -> float:
     return float(np.linalg.norm(np.asarray(x)))
 
 
-def coordinate_norms(space: SpaceSpec, combos: np.ndarray) -> np.ndarray:
-    """Column norms of a (d, m) matrix under the space's norm."""
-    mags = np.abs(combos)
-    if isinstance(space, (HilbertSpace,)) or (
-        isinstance(space, SequenceSpace) and space.r == 2
-    ):
-        return np.sqrt((mags**2).sum(axis=0))
-    if isinstance(space, SupSpace) or (
-        isinstance(space, SequenceSpace) and space.r == math.inf
-    ):
-        return mags.max(axis=0)
+def _same(values: np.ndarray) -> np.ndarray:
+    return values
+
+
+def _coordinate_rule(space: SpaceSpec):
+    """(term, combine, root) of a coordinate norm: the norm of v is
+    root(combine over k of term(|v_k|))."""
+    if isinstance(space, HilbertSpace) or (isinstance(space, SequenceSpace) and space.r == 2):
+        return (lambda mags: mags**2), np.add, np.sqrt
+    if isinstance(space, SupSpace) or space.r == math.inf:
+        return _same, np.maximum, _same
     r = space.r
     if r == 1:
-        return mags.sum(axis=0)
-    return (mags**r).sum(axis=0) ** (1.0 / r)
+        return _same, np.add, _same
+    return (lambda mags: mags**r), np.add, (lambda total: total ** (1.0 / r))
+
+
+def coordinate_norms(space: SpaceSpec, combos: np.ndarray) -> np.ndarray:
+    """Column norms of a (d, m) matrix under the space's norm."""
+    term, combine, root = _coordinate_rule(space)
+    return root(combine.reduce(term(np.abs(combos)), axis=0))
+
+
+def coordinate_norms_of_rows(space: SpaceSpec, rows: Iterable[np.ndarray]) -> np.ndarray:
+    """Norms of the vectors whose coordinate k holds rows[k], entry by entry.
+
+    Each row is reduced as it arrives, so a caller may reuse one buffer for
+    every row.  numpy reduces axis 0 of a C-ordered (d, N) array row after
+    row when N > 1, so for rows of more than one entry this equals
+    coordinate_norms of the stacked rows bit for bit.
+    """
+    term, combine, root = _coordinate_rule(space)
+    total = None
+    for row in rows:
+        part = term(np.abs(row))
+        total = part if total is None else combine(total, part, out=total)
+    return root(total)
 
 
 def _function_grid_sizes(max_exponents: Sequence[int], scale: float = 1) -> tuple[int, ...]:

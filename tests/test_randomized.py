@@ -202,6 +202,8 @@ GUARD_SPACES = [
     SequenceSpace(1.0, 3),
     SequenceSpace(3.0, 5),
     SequenceSpace(3.0, 1),  # a unit dimension takes the per-sample product path
+    SequenceSpace(2.0, 3),
+    SupSpace(12),
     HilbertSpace(4),
     FunctionLr(1.0, 1),
 ]
@@ -227,6 +229,144 @@ def test_hprad_sampled_outer_matches_previous_loop_bitwise(space):
     cfg = SamplerConfig(seed=3, samples=300, exact_cutoff=5)
     est = hprad_norm(D, 1.0, cfg)
     assert (est.value, est.stderr) == _hprad_full_enumeration(D, 1.0, cfg)
+
+
+def _sign_moments_full_enumeration(space, xs, scale, powers, chunk=1 << 13):
+    """(value, quad_error) per power of the exact sign moments as computed
+    before the half-pattern kernel: all 2^m patterns, chunk by chunk."""
+    m = len(xs)
+    total = 1 << m
+    full = CombinationEvaluator(space, xs)
+    half = None if is_coordinate(space) else CombinationEvaluator(space, xs, grid_scale=0.5)
+    acc = np.zeros(len(powers))
+    acc_half = np.zeros(len(powers))
+    for lo in range(0, total, chunk):
+        idx = np.arange(lo, min(lo + chunk, total), dtype=np.uint64)[None, :]
+        bits = (idx >> np.arange(m, dtype=np.uint64)[:, None]) & np.uint64(1)
+        block = np.where(bits == 1, 1.0, -1.0)
+        if scale is not None:
+            block = block * np.asarray(scale, dtype=np.complex128)[:, None]
+        g = full.norms(block)
+        g_half = half.norms(block) if half is not None else None
+        for i, q in enumerate(powers):
+            acc[i] += float((g**q).sum())
+            if g_half is not None:
+                acc_half[i] += float((g_half**q).sum())
+    out = []
+    for i, q in enumerate(powers):
+        mean = float(acc[i]) / total
+        value = mean ** (1.0 / q) if mean > 0 else 0.0
+        quad_error = 0.0
+        if half is not None:
+            half_mean = acc_half[i] / total
+            quad_error = abs(value - (half_mean ** (1.0 / q) if half_mean > 0 else 0.0))
+        out.append((value, quad_error))
+    return out
+
+
+def _assert_sign_averages_match_full_enumeration(space, xs, rng, chunk=1 << 13):
+    """rademacher_average, kahane_ratio, contraction_check and rad_norm equal
+    their values under full enumeration bit for bit."""
+    cfg = SamplerConfig(seed=1, samples=64)
+    m = len(xs)
+    label = (space, m)
+    rad = rademacher_average(xs, space, 3.0, cfg)
+    assert (rad.value, rad.quad_error, rad.samples_used) == (
+        *_sign_moments_full_enumeration(space, xs, None, [3.0], chunk)[0], 1 << m
+    ), label
+    first, mean = _sign_moments_full_enumeration(space, xs, None, [2.0, 1.0], chunk)
+    assert kahane_ratio(xs, space, 2.0, cfg) == first[0] / mean[0], label
+    assert rad_norm(xs, space, cfg).value == mean[0], label
+    a = rng.random(m) * np.exp(2j * math.pi * rng.random(m))
+    report = contraction_check(xs, a, space, cfg)
+    lhs = _sign_moments_full_enumeration(space, xs, a, [1.0], chunk)[0]
+    assert (report.lhs.value, report.lhs.quad_error) == lhs, label
+    assert report.rhs.value == mean[0] * (math.pi / 2), label
+
+
+def _vector_family(space, m, rng):
+    return [rng.standard_normal(space.d) + 1j * rng.standard_normal(space.d) for _ in range(m)]
+
+
+def _trig_family(space, m, rng):
+    xs = []
+    for _ in range(m):
+        keys = {tuple(int(e) for e in rng.integers(-2, 3, size=space.k)) for _ in range(2)}
+        xs.append(TrigPolynomial({k: complex(*rng.standard_normal(2)) for k in keys}, space.k))
+    return xs
+
+
+SIGN_GUARD_SPACES = [
+    space(d)
+    for d in (1, 8, 11)  # d = 1 runs gemv, the others gemm
+    for space in (
+        SupSpace,
+        lambda d: SequenceSpace(1.0, d),
+        lambda d: SequenceSpace(2.0, d),
+        lambda d: SequenceSpace(3.0, d),
+        HilbertSpace,
+    )
+]
+
+
+@pytest.mark.parametrize("space", SIGN_GUARD_SPACES, ids=repr)
+def test_sign_averages_half_patterns_match_full_enumeration_bitwise(space):
+    # m = 14 and 15 span two and four chunks of 8192 patterns.
+    rng = np.random.default_rng(520)
+    for m in range(2, 16):
+        _assert_sign_averages_match_full_enumeration(space, _vector_family(space, m, rng), rng)
+
+
+@pytest.mark.parametrize("space", [FunctionLr(1.0, 2), FunctionLr(3.0, 2)], ids=repr)
+def test_function_space_sign_averages_match_full_enumeration_bitwise(space):
+    rng = np.random.default_rng(521)
+    for m in range(2, 10):
+        _assert_sign_averages_match_full_enumeration(space, _trig_family(space, m, rng), rng)
+
+
+@pytest.mark.parametrize(
+    "space", [SupSpace(3), SequenceSpace(3.0, 1), HilbertSpace(9), FunctionLr(1.0, 2)], ids=repr
+)
+def test_sign_averages_mirror_many_small_chunks_bitwise(space, monkeypatch):
+    # Chunks of 8 patterns: m = 4..8 mirror 1 to 16 chunks past the evaluated half.
+    monkeypatch.setattr(randomized, "_PATTERN_CHUNK", 8)
+    rng = np.random.default_rng(522)
+    for m in range(2, 9):
+        family = _trig_family if isinstance(space, FunctionLr) else _vector_family
+        _assert_sign_averages_match_full_enumeration(space, family(space, m, rng), rng, chunk=8)
+
+
+@pytest.mark.parametrize(
+    "m, ranges",
+    [
+        (2, [(0, 4)]),  # all four: a 2-column gemm rounds unlike the 4-column tiles
+        (3, [(0, 4)]),  # the smallest halved m
+        (13, [(0, 4096)]),  # the largest single chunk
+        (14, [(0, 8192)]),  # the first of two chunks; the second is its mirror
+        (15, [(0, 8192), (8192, 16384)]),
+    ],
+)
+def test_sign_moments_evaluate_half_of_the_patterns(m, ranges, monkeypatch):
+    evaluated = []
+    sign_patterns = randomized._sign_patterns
+
+    def recorded(m, lo, hi):
+        evaluated.append((lo, hi))
+        return sign_patterns(m, lo, hi)
+
+    monkeypatch.setattr(randomized, "_sign_patterns", recorded)
+    rng = np.random.default_rng(523)
+    space = SequenceSpace(3.0, 2)
+    xs = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(m)]
+    a = rng.random(m) * np.exp(2j * math.pi * rng.random(m))
+    cfg = SamplerConfig(seed=1, samples=64, exact_cutoff=m)
+    report = contraction_check(xs, a, space, cfg)
+    assert evaluated == ranges * 2  # scaled, then plain patterns
+    assert (report.lhs.mode, report.lhs.samples_used) == ("exact", 1 << m)
+    assert report.lhs.value == _sign_moments_full_enumeration(space, xs, a, [1.0])[0][0]
+    assert report.rhs.value == (
+        _sign_moments_full_enumeration(space, xs, None, [1.0])[0][0] * (math.pi / 2)
+    )
 
 
 def test_rademacher_average_enumerates_up_to_exact_cutoff():

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import integrate
 
 from dirichlet_ruc import (
@@ -17,7 +20,13 @@ from dirichlet_ruc import (
     trig_eval,
 )
 from dirichlet_ruc.errors import ArityError
-from dirichlet_ruc.spaces import CombinationEvaluator, as_element, is_hilbertian
+from dirichlet_ruc.spaces import (
+    CombinationEvaluator,
+    as_element,
+    coordinate_norms,
+    coordinate_norms_of_rows,
+    is_hilbertian,
+)
 
 from conftest import assert_close
 
@@ -161,3 +170,40 @@ def test_as_element_function_space():
     assert isinstance(x, TrigPolynomial) and x.coeffs == {(1, 0): 2.0}
     with pytest.raises(ShapeError):
         as_element(FunctionLr(1, 1), {(1, 2): 1.0})
+
+
+@st.composite
+def coordinate_rows(draw):
+    """A coordinate space of dimension d and a (d, count, patterns) complex
+    array of more than one vector, with huge, infinite and NaN coordinates
+    among the ordinary ones."""
+    d = draw(st.integers(1, 12))
+    space = draw(
+        st.sampled_from(
+            [SupSpace(d), HilbertSpace(d)]
+            + [SequenceSpace(r, d) for r in (1.0, 1.5, 2.0, 3.0, math.inf)]
+        )
+    )
+    count, patterns = draw(
+        st.tuples(st.integers(1, 4), st.integers(1, 5)).filter(lambda s: s[0] * s[1] > 1)
+    )
+    parts = st.one_of(
+        st.floats(-4, 4),
+        st.sampled_from([0.0, 1e300, -1e-300, math.inf, -math.inf, math.nan]),
+    )
+    entries = st.builds(complex, parts, parts)
+    combos = draw(arrays(np.complex128, (d, count, patterns), elements=entries))
+    return space, combos
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=coordinate_rows())
+def test_norms_of_rows_match_coordinate_norms_bitwise(case):
+    # Reducing coordinate by coordinate, as hprad_norm does, gives the bits of
+    # the reduction over axis 0 of the stacked (d, N > 1) matrix.
+    space, combos = case
+    d, count, patterns = combos.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = coordinate_norms(space, combos.reshape(d, -1)).reshape(count, patterns)
+        got = coordinate_norms_of_rows(space, iter(combos))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
