@@ -290,21 +290,9 @@ def _cmd_ruc_search(args, out) -> int:
 
 def _cmd_witness(args, out, which) -> int:
     problem, _, cfg = _load_problem(args)
-    elements = _ordered_elements(problem)
-    value = which(problem.polynomial.space, elements, cfg)
-    mode = "exact" if len(elements) <= cfg.exact_cutoff else "mc"
-    row = {
-        "witness": value,
-        "witness_stderr": 0.0,
-        "witness_quad_error": 0.0,
-        "witness_mode": mode,
-    }
-    emit(
-        [row],
-        ["witness", "witness_stderr", "witness_quad_error", "witness_mode"],
-        args.format,
-        out,
-    )
+    est = which(problem.polynomial.space, _ordered_elements(problem), cfg)
+    cells = estimate_cells("witness", est)
+    emit([cells], list(cells), args.format, out)
     return 0
 
 
@@ -534,9 +522,9 @@ def run(argv: list[str], out=None, err=None) -> int:
         if args.command == "ruc-search":
             return _cmd_ruc_search(args, out)
         if args.command == "type-witness":
-            return _cmd_witness(args, out, constants.type_constant_witness)
+            return _cmd_witness(args, out, constants._type_witness)
         if args.command == "cotype-witness":
-            return _cmd_witness(args, out, constants.cotype_constant_witness)
+            return _cmd_witness(args, out, constants._cotype_witness)
         if args.command == "experiment":
             if args.kind == "summing" and not args.coeffs and not args.input:
                 raise ValidationError("experiment summing needs --coeffs or --input")

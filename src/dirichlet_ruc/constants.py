@@ -22,10 +22,11 @@ from .errors import DomainError, UndefinedRatioError
 from .randomized import hprad_norm, rademacher_average
 from .sampling import (
     MODE_EXACT,
-    MODE_MC,
     STREAM_SEARCH,
     STREAM_SUMMING,
+    _CHUNK_BUDGET,
     Estimate,
+    PowerMoments,
     SamplerConfig,
     panel_scope,
     torus_characters,
@@ -202,6 +203,37 @@ def ruc_constant_search(
     return SearchResult(coefficients=best_a, report=best)
 
 
+def _type_witness(space: SpaceSpec, xs: Sequence, cfg: SamplerConfig | None) -> Estimate:
+    """The type witness with the mode, stderr and quadrature error of its
+    sign average, scaled by the same denominator."""
+    cfg = cfg if cfg is not None else SamplerConfig()
+    elements = [as_element(space, x) for x in xs]
+    if not elements or all(element_is_zero(x) for x in elements):
+        raise DomainError("need at least one nonzero element")
+    average = rademacher_average(elements, space, 2.0, cfg)
+    denominator = math.sqrt(sum(space_norm(space, x).value ** 2 for x in elements))
+    return Estimate(
+        value=average.value / denominator,
+        stderr=average.stderr / denominator,
+        samples_used=average.samples_used,
+        mode=average.mode,
+        quad_error=average.quad_error / denominator,
+    )
+
+
+def _cotype_witness(space: SpaceSpec, xs: Sequence, cfg: SamplerConfig | None) -> Estimate:
+    """1 / the type witness; its relative errors carry through the inversion."""
+    est = _type_witness(space, xs, cfg)
+    value = 1.0 / est.value
+    return Estimate(
+        value=value,
+        stderr=value * (est.stderr / est.value),
+        samples_used=est.samples_used,
+        mode=est.mode,
+        quad_error=value * (est.quad_error / est.value),
+    )
+
+
 def type_constant_witness(
     space: SpaceSpec, xs: Sequence, cfg: SamplerConfig | None = None
 ) -> float:
@@ -210,13 +242,7 @@ def type_constant_witness(
     Equals 1 in Hilbert space; grows like sqrt(n) for the l_1 basis. The
     returned defect is exact whenever sign enumeration is.
     """
-    cfg = cfg if cfg is not None else SamplerConfig()
-    elements = [as_element(space, x) for x in xs]
-    if not elements or all(element_is_zero(x) for x in elements):
-        raise DomainError("need at least one nonzero element")
-    numerator = rademacher_average(elements, space, 2.0, cfg).value
-    denominator = math.sqrt(sum(space_norm(space, x).value ** 2 for x in elements))
-    return numerator / denominator
+    return _type_witness(space, xs, cfg).value
 
 
 def cotype_constant_witness(
@@ -224,7 +250,7 @@ def cotype_constant_witness(
 ) -> float:
     """(sum ||x_n||^2)^(1/2) / (E ||sum eps_n x_n||^2)^(1/2): mirror of the
     type witness; grows like sqrt(n) for the sup-norm basis."""
-    return 1.0 / type_constant_witness(space, xs, cfg)
+    return _cotype_witness(space, xs, cfg).value
 
 
 @dataclass(frozen=True)
@@ -325,21 +351,13 @@ def experiment_summing_basis(
     _, exps, _ = lift_arrays(scalar_polynomial(dict.fromkeys(range(1, m + 1), 1)))
 
     samples = cfg.samples
-    chunk = max(64, (1 << 20) // max(m, 1))
-    acc = 0.0
-    acc_sq = 0.0
+    chunk = max(64, _CHUNK_BUDGET // (2 * m))  # the multipliers and their tails
+    moments = PowerMoments([2.0], mc=True)
     for lo in range(0, samples, chunk):
         count = min(chunk, samples - lo)
         mult = torus_characters(exps, cfg.seed, STREAM_SUMMING, samples, lo, count) * a[None, :]
         tails = np.cumsum(mult[:, ::-1], axis=1)[:, ::-1]
-        sup = np.abs(tails).max(axis=1)
-        g2 = sup**2
-        acc += float(g2.sum())
-        acc_sq += float((g2**2).sum())
-    mean = acc / samples
-    value = math.sqrt(mean)
-    var = max(acc_sq / samples - mean**2, 0.0) * samples / max(samples - 1, 1)
-    stderr = math.sqrt(var / samples) / (2 * value) if value > 0 else 0.0
-    est = Estimate(value=value, stderr=stderr, samples_used=samples, mode=MODE_MC)
-    ok = value + 3 * stderr >= l2
-    return SummingReport(a, est, l2, value / l2 if l2 > 0 else math.inf, ok)
+        moments.add(np.abs(tails).max(axis=1))
+    est = moments.estimates()[0]
+    ok = est.value + 3 * est.stderr >= l2
+    return SummingReport(a, est, l2, est.value / l2 if l2 > 0 else math.inf, ok)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -20,11 +20,11 @@ from .bohr import MultiIndex, factorize
 from .errors import DomainError, ResourceError
 from .sampling import (
     MODE_EXACT,
-    MODE_MC,
     MODE_QUADRATURE,
     STREAM_TORUS,
     _CHUNK_BUDGET,
     Estimate,
+    PowerMoments,
     SamplerConfig,
     character_values,
     torus_characters,
@@ -144,25 +144,6 @@ def lift_arrays(D: DirichletPolynomial) -> tuple[list[Element], np.ndarray, list
     return xs, exps[:, :variables] if variables else exps[:, :0], ns
 
 
-def _mean_power(
-    evaluator: CombinationEvaluator,
-    multipliers: np.ndarray,
-    p: float,
-) -> tuple[float, float, int]:
-    """Accumulate (mean g^p, mean g^{2p}, count) over rows of `multipliers`."""
-    total = multipliers.shape[0]
-    width = max(evaluator.grid_points, len(evaluator.xs))
-    chunk = max(1, _CHUNK_BUDGET // max(width, 1))
-    acc_p = 0.0
-    acc_2p = 0.0
-    for lo in range(0, total, chunk):
-        g = evaluator.norms(multipliers[lo : lo + chunk].T)
-        gp = g**p
-        acc_p += float(gp.sum())
-        acc_2p += float((gp**2).sum())
-    return acc_p / total, acc_2p / total, total
-
-
 def _grid_fractions(sizes: Sequence[int]) -> np.ndarray:
     """All tensor-grid angles as 64-bit fixed-point numerators."""
     axes = [np.arange(g, dtype=np.uint64) * np.uint64(2**64 // g) for g in sizes]
@@ -170,43 +151,30 @@ def _grid_fractions(sizes: Sequence[int]) -> np.ndarray:
     return np.column_stack([m.reshape(-1) for m in mesh])
 
 
-def _quadrature_norm(
+def _norm_moments(
     evaluator: CombinationEvaluator,
-    exponents: np.ndarray,
+    rows: Callable[[int, int], np.ndarray],
+    total: int,
     p: float,
-    sizes: Sequence[int],
-) -> float:
-    multipliers = character_values(exponents, _grid_fractions(sizes))
-    mean_p, _, _ = _mean_power(evaluator, multipliers, p)
-    return mean_p ** (1.0 / p) if mean_p > 0 else 0.0
-
-
-def _mc_norm(
-    evaluator: CombinationEvaluator,
-    exponents: np.ndarray,
-    p: float,
-    cfg: SamplerConfig,
-    stream: int = STREAM_TORUS,
-) -> Estimate:
-    samples = cfg.samples
+    mc: bool = False,
+) -> PowerMoments:
+    """Power sums of the norms of the combinations weighted by rows(lo, count)
+    of a (total, terms) multiplier panel, a block of rows at a time."""
     width = max(evaluator.grid_points, len(evaluator.xs))
-    chunk = max(64, _CHUNK_BUDGET // max(width, 1))
-    acc_p = 0.0
-    acc_2p = 0.0
-    for lo in range(0, samples, chunk):
-        count = min(chunk, samples - lo)
-        multipliers = torus_characters(exponents, cfg.seed, stream, samples, lo, count)
-        part_p, part_2p, _ = _mean_power(evaluator, multipliers, p)
-        acc_p += part_p * count
-        acc_2p += part_2p * count
-    mean = acc_p / samples
-    value = mean ** (1.0 / p) if mean > 0 else 0.0
-    if samples < 2 or mean == 0:
-        stderr = 0.0
-    else:
-        var = max(acc_2p / samples - mean**2, 0.0) * samples / (samples - 1)
-        stderr = math.sqrt(var / samples) * value / (p * mean)
-    return Estimate(value=value, stderr=stderr, samples_used=samples, mode=MODE_MC)
+    chunk = max(1, _CHUNK_BUDGET // width)
+    moments = PowerMoments([p], mc)
+    for lo in range(0, total, chunk):
+        moments.add(evaluator.norms(rows(lo, min(chunk, total - lo)).T))
+    return moments
+
+
+def _grid_moments(
+    evaluator: CombinationEvaluator, exponents: np.ndarray, p: float, sizes: Sequence[int]
+) -> PowerMoments:
+    multipliers = character_values(exponents, _grid_fractions(sizes))
+    return _norm_moments(
+        evaluator, lambda lo, count: multipliers[lo : lo + count], len(multipliers), p
+    )
 
 
 def _polytorus_norm(
@@ -219,36 +187,52 @@ def _polytorus_norm(
 ) -> Estimate:
     """Shared engine for H_p and circle norms of sum x_n * z^{E[n]}."""
     variables = exponents.shape[1]
-    if method == "quadrature" or (
-        method == "auto" and p == 2 and variables <= QUADRATURE_MAX_VARIABLES
-    ):
-        policy = cfg.grid_policy
-        max_exp = [int(np.abs(exponents[:, j]).max()) for j in range(variables)]
-        sizes = [policy.size_for(e) for e in max_exp]
-        points = math.prod(sizes) if sizes else 1
-        if points <= policy.max_points:
-            evaluator = CombinationEvaluator(space, xs)
-            if variables == 0:
-                value = float(evaluator.norms(np.ones((len(xs), 1)))[0])
-                return Estimate(value=value, mode=MODE_EXACT)
-            value = _quadrature_norm(evaluator, exponents, p, sizes)
-            halves = [max(g // 2, 1) for g in sizes]
-            rough = _quadrature_norm(evaluator, exponents, p, halves)
-            return Estimate(
-                value=value,
-                mode=MODE_QUADRATURE,
-                quad_error=abs(value - rough),
-                samples_used=points,
-            )
-        if method == "quadrature":
-            raise ResourceError(
-                f"quadrature grid of {points} points exceeds {policy.max_points}"
-            )
     evaluator = CombinationEvaluator(space, xs)
     if variables == 0:
         value = float(evaluator.norms(np.ones((len(xs), 1)))[0])
         return Estimate(value=value, mode=MODE_EXACT)
-    return _mc_norm(evaluator, exponents, p, cfg)
+    if method == "quadrature" or (
+        method == "auto" and p == 2 and variables <= QUADRATURE_MAX_VARIABLES
+    ):
+        policy = cfg.grid_policy
+        sizes = [policy.size_for(int(np.abs(exponents[:, j]).max())) for j in range(variables)]
+        points = math.prod(sizes)
+        if points <= policy.max_points:
+            fine = _grid_moments(evaluator, exponents, p, sizes)
+            rough = _grid_moments(evaluator, exponents, p, [max(g // 2, 1) for g in sizes])
+            return fine.estimates(rough)[0]
+        if method == "quadrature":
+            raise ResourceError(
+                f"quadrature grid of {points} points exceeds {policy.max_points}"
+            )
+    samples = cfg.samples
+
+    def rows(lo: int, count: int) -> np.ndarray:
+        return torus_characters(exponents, cfg.seed, STREAM_TORUS, samples, lo, count)
+
+    return _norm_moments(evaluator, rows, samples, p, mc=True).estimates()[0]
+
+
+def _closed_form(space: SpaceSpec, xs: list[Element], p: float, method: str) -> Estimate | None:
+    """Check p and method, then give the norm of sum x_n z^{alpha_n} (the x_n
+    nonzero, the alpha_n distinct) where a closed form holds: no terms, one
+    term (|z^alpha| = 1), or Parseval at p = 2 in a hilbertian space.  None
+    means a polytorus route has to run."""
+    if p < 1:
+        raise DomainError("p must be >= 1")
+    if method not in ("auto", "exact", "quadrature", "mc"):
+        raise DomainError(f"unknown method {method!r}")
+    if not xs:
+        return Estimate(value=0.0, mode=MODE_EXACT)
+    if method in ("auto", "exact"):
+        if len(xs) == 1:
+            return space_norm(space, xs[0])
+        if p == 2 and is_hilbertian(space):
+            value = math.sqrt(sum(hilbert_norm(space, x) ** 2 for x in xs))
+            return Estimate(value=value, mode=MODE_EXACT)
+    if method == "exact":
+        raise DomainError("no exact mode for this space/p combination")
+    return None
 
 
 def hp_norm(
@@ -262,23 +246,11 @@ def hp_norm(
     `method` forces an evaluation route ("exact", "quadrature", "mc"); the
     default "auto" follows the selection rules.
     """
-    if p < 1:
-        raise DomainError("p must be >= 1")
-    if method not in ("auto", "exact", "quadrature", "mc"):
-        raise DomainError(f"unknown method {method!r}")
-    cfg = cfg if cfg is not None else SamplerConfig()
     xs, exps, _ = lift_arrays(D)
-    if not xs:
-        return Estimate(value=0.0, mode=MODE_EXACT)
-    if method in ("auto", "exact"):
-        if len(xs) == 1:
-            # |z^alpha| = 1, so the norm is the single coefficient's norm.
-            return space_norm(D.space, xs[0])
-        if p == 2 and is_hilbertian(D.space):
-            value = math.sqrt(sum(hilbert_norm(D.space, x) ** 2 for x in xs))
-            return Estimate(value=value, mode=MODE_EXACT)
-    if method == "exact":
-        raise DomainError("no exact mode for this space/p combination")
+    closed = _closed_form(D.space, xs, p, method)
+    if closed is not None:
+        return closed
+    cfg = cfg if cfg is not None else SamplerConfig()
     return _polytorus_norm(D.space, xs, exps, p, cfg, method)
 
 
@@ -290,21 +262,12 @@ def circle_hp_norm(
     method: str = "auto",
 ) -> Estimate:
     """Single-circle norm (integral over z of || sum_n x_n z^n ||^p)^(1/p)."""
-    if p < 1:
-        raise DomainError("p must be >= 1")
-    cfg = cfg if cfg is not None else SamplerConfig()
     elements = [as_element(space, x) for x in xs]
     kept = [(i + 1, x) for i, x in enumerate(elements) if not element_is_zero(x)]
-    if not kept:
-        return Estimate(value=0.0, mode=MODE_EXACT)
-    if method in ("auto", "exact"):
-        if len(kept) == 1:
-            return space_norm(space, kept[0][1])
-        if p == 2 and is_hilbertian(space):
-            value = math.sqrt(sum(hilbert_norm(space, x) ** 2 for _, x in kept))
-            return Estimate(value=value, mode=MODE_EXACT)
-    if method == "exact":
-        raise DomainError("no exact mode for this space/p combination")
+    closed = _closed_form(space, [x for _, x in kept], p, method)
+    if closed is not None:
+        return closed
+    cfg = cfg if cfg is not None else SamplerConfig()
     exps = np.array([[n] for n, _ in kept], dtype=np.int64)
     if method == "auto":
         # One circle variable: trapezoid on a grid past twice the top degree

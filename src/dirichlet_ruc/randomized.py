@@ -12,7 +12,7 @@ counter-based: identical configs give identical Estimates.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,13 +21,14 @@ from .errors import DomainError, UndefinedRatioError
 from .sampling import (
     MODE_EXACT,
     MODE_MC,
-    MODE_QUADRATURE,
     STREAM_GAUSSIAN,
     STREAM_OUTER_SIGNS,
     STREAM_SIGNS,
     STREAM_STEINHAUS,
     STREAM_TORUS,
+    _CHUNK_BUDGET,
     Estimate,
+    PowerMoments,
     SamplerConfig,
     block_stderr,
     combined_stderr,
@@ -83,68 +84,45 @@ def _mirrored(values: np.ndarray) -> np.ndarray:
 def _multiplier_moments(
     space: SpaceSpec,
     xs: Sequence[Element],
-    multiplier_chunks,
-    total: int,
+    draw: Callable[[int, int], np.ndarray],
+    count: int,
     powers: Sequence[float],
     mc: bool,
     mirrored: bool = False,
 ) -> list[Estimate]:
-    """Estimates of (E g^q)^(1/q) for each q, sharing one pass of multipliers.
+    """Estimates of (E g^q)^(1/q) for each q, sharing one pass over the
+    multiplier columns draw(lo, n), lo in [0, count), a chunk at a time.
 
-    With `mirrored` the chunks enumerate sign patterns [0, total / 2) only.
-    Sums still run over chunks of all `total` patterns in pattern order:
-    a single chunk is extended by its reverse, and with several chunks the
-    reverse of chunk c is chunk C - 1 - c, whose sum is added after the
-    evaluated ones.
+    Chunks hold _PATTERN_CHUNK columns in a coordinate space, and
+    _CHUNK_BUDGET grid values in a function space.  With `mirrored` the
+    columns are sign patterns [0, count) of 2 * count: sums still run over
+    chunks of all the patterns in pattern order, so a single chunk is
+    extended by its reverse, and with several chunks the reverse of chunk c
+    is chunk C - 1 - c, whose sums are added after the evaluated ones.
     """
     evaluators = [CombinationEvaluator(space, xs)]
+    moments = [PowerMoments(powers, mc)]
+    chunk = _PATTERN_CHUNK
     if not is_coordinate(space):  # the half grid gives the quadrature error
         evaluators.append(CombinationEvaluator(space, xs, grid_scale=0.5))
-    sums = np.zeros((len(evaluators), len(powers)))
-    acc_sq = np.zeros(len(powers))
-    late = []  # (evaluator, power, sum) of the mirrored chunks C - 1 - c
-    for chunk in multiplier_chunks:
-        for e, evaluator in enumerate(evaluators):
-            g = evaluator.norms(chunk)
-            for i, q in enumerate(powers):
-                gq = g**q
-                if mc and e == 0:
-                    acc_sq[i] += float((gq**2).sum())
-                if mirrored:
-                    gq = _mirrored(gq)
-                    if gq.size > _PATTERN_CHUNK:
-                        late.append((e, i, float(gq[g.size :].sum())))
-                        gq = gq[: g.size]
-                sums[e, i] += float(gq.sum())
-    for e, i, value in reversed(late):
-        sums[e, i] += value
-    acc, acc_half = sums[0], sums[-1]
-    half = len(evaluators) > 1
-    out = []
-    for i, q in enumerate(powers):
-        mean = float(acc[i]) / total
-        value = mean ** (1.0 / q) if mean > 0 else 0.0
-        quad_error = 0.0
-        if half:
-            half_mean = acc_half[i] / total
-            half_value = half_mean ** (1.0 / q) if half_mean > 0 else 0.0
-            quad_error = abs(value - half_value)
-        if mc:
-            var = max(acc_sq[i] / total - mean**2, 0.0)
-            var *= total / max(total - 1, 1)
-            stderr = (
-                math.sqrt(var / total) * value / (q * mean) if mean > 0 and total > 1 else 0.0
-            )
-            out.append(
-                Estimate(value=value, stderr=stderr, samples_used=total, mode=MODE_MC,
-                         quad_error=quad_error)
-            )
-        else:
-            mode = MODE_QUADRATURE if half else MODE_EXACT
-            out.append(
-                Estimate(value=value, samples_used=total, mode=mode, quad_error=quad_error)
-            )
-    return out
+        moments.append(PowerMoments(powers))
+        chunk = max(1, _CHUNK_BUDGET // evaluators[0].grid_points)
+    several = mirrored and 2 * count > chunk  # all the patterns span several chunks
+    late = []  # (moments, reversed chunk's moments) of the mirrored chunks
+    for lo in range(0, count, chunk):
+        block = draw(lo, min(chunk, count - lo))
+        for evaluator, acc in zip(evaluators, moments):
+            g = evaluator.norms(block)
+            if several:
+                tail = PowerMoments(powers)
+                tail.add(g[::-1].copy())  # a strided power may round unlike a contiguous one
+                late.append((acc, tail))
+            elif mirrored:
+                g = _mirrored(g)
+            acc.add(g)
+    for acc, tail in reversed(late):
+        acc.merge(tail)
+    return moments[0].estimates(moments[1] if len(moments) > 1 else None)
 
 
 def _sign_moments(
@@ -155,29 +133,19 @@ def _sign_moments(
     cfg: SamplerConfig,
 ) -> list[Estimate]:
     m = len(xs)
+    exact = m <= cfg.exact_cutoff
+    mirrored = exact and _halved(m)
+    count = (1 << (m - 1) if mirrored else 1 << m) if exact else cfg.samples
     scale_col = None if scale is None else np.asarray(scale, dtype=np.complex128)[:, None]
 
-    if m <= cfg.exact_cutoff:
-        total = 1 << m
-        mirrored = _halved(m)
-        evaluated = total // 2 if mirrored else total
+    def draw(lo: int, n: int) -> np.ndarray:
+        if exact:
+            signs = _sign_patterns(m, lo, lo + n)
+        else:
+            signs = sign_samples(cfg.seed, STREAM_SIGNS, n, m, start=lo).T
+        return signs if scale_col is None else signs * scale_col
 
-        def chunks():
-            for lo in range(0, evaluated, _PATTERN_CHUNK):
-                block = _sign_patterns(m, lo, min(lo + _PATTERN_CHUNK, evaluated))
-                yield block if scale_col is None else block * scale_col
-
-        return _multiplier_moments(space, xs, chunks(), total, powers, mc=False, mirrored=mirrored)
-
-    total = cfg.samples
-
-    def chunks():
-        for lo in range(0, total, _PATTERN_CHUNK):
-            count = min(_PATTERN_CHUNK, total - lo)
-            block = sign_samples(cfg.seed, STREAM_SIGNS, count, m, start=lo).T
-            yield block if scale_col is None else block * scale_col
-
-    return _multiplier_moments(space, xs, chunks(), total, powers, mc=True)
+    return _multiplier_moments(space, xs, draw, count, powers, not exact, mirrored)
 
 
 def rademacher_average(
@@ -215,14 +183,11 @@ def steinhaus_average(
         value = math.sqrt(sum(hilbert_norm(space, x) ** 2 for x in elements))
         return Estimate(value=value, mode=MODE_EXACT)
     m = len(elements)
-    total = cfg.samples
 
-    def chunks():
-        for lo in range(0, total, _PATTERN_CHUNK):
-            count = min(_PATTERN_CHUNK, total - lo)
-            yield steinhaus_samples(cfg.seed, STREAM_STEINHAUS, count, m, start=lo).T
+    def draw(lo: int, n: int) -> np.ndarray:
+        return steinhaus_samples(cfg.seed, STREAM_STEINHAUS, n, m, start=lo).T
 
-    return _multiplier_moments(space, elements, chunks(), total, [q], mc=True)[0]
+    return _multiplier_moments(space, elements, draw, cfg.samples, [q], mc=True)[0]
 
 
 def _gaussian_abs_moment(q: float, variant: str) -> float:
@@ -255,14 +220,11 @@ def gaussian_average(
     if len(elements) == 1:
         return space_norm(space, elements[0]).scaled(_gaussian_abs_moment(q, variant))
     m = len(elements)
-    total = cfg.samples
 
-    def chunks():
-        for lo in range(0, total, _PATTERN_CHUNK):
-            count = min(_PATTERN_CHUNK, total - lo)
-            yield gaussian_samples(cfg.seed, STREAM_GAUSSIAN, count, m, variant, start=lo).T
+    def draw(lo: int, n: int) -> np.ndarray:
+        return gaussian_samples(cfg.seed, STREAM_GAUSSIAN, n, m, variant, start=lo).T
 
-    return _multiplier_moments(space, elements, chunks(), total, [q], mc=True)[0]
+    return _multiplier_moments(space, elements, draw, cfg.samples, [q], mc=True)[0]
 
 
 def rad_norm(xs: Sequence, space: SpaceSpec, cfg: SamplerConfig | None = None) -> Estimate:

@@ -13,6 +13,7 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -251,6 +252,60 @@ def torus_characters(
     if memo is None or key not in memo:  # no scope, or no room left in the memo
         return draw(start, count)
     return memo[key][start : start + count]
+
+
+class PowerMoments:
+    """Running sums of g^q over norm values g, one per power q, and of g^(2q)
+    in Monte Carlo mode, turned into Estimates of (E g^q)^(1/q).
+
+    Every norm average reports through here, so there is one value rule,
+    mean^(1/q) or 0, and one delta-method stderr, sqrt(var / n) * value /
+    (q * mean) with var the unbiased variance of g^q.
+    """
+
+    def __init__(self, powers: Sequence[float], mc: bool = False):
+        self.powers = tuple(powers)
+        self.sums = [0.0] * len(self.powers)
+        self.squares = [0.0] * len(self.powers) if mc else None
+        self.count = 0
+
+    def add(self, g: np.ndarray) -> None:
+        for i, q in enumerate(self.powers):
+            gq = g**q
+            self.sums[i] += float(gq.sum())
+            if self.squares is not None:
+                self.squares[i] += float((gq**2).sum())
+        self.count += g.size
+
+    def merge(self, other: "PowerMoments") -> None:
+        """Add the sums of another accumulator of the same powers (no squares)."""
+        for i, value in enumerate(other.sums):
+            self.sums[i] += value
+        self.count += other.count
+
+    def estimates(self, rough: "PowerMoments | None" = None) -> list[Estimate]:
+        """One Estimate per power: mc mode with the delta-method stderr when
+        squares are kept, else quadrature when `rough` holds the same sums
+        on a coarser grid (the gap between the two values is the error),
+        else exact."""
+        n = self.count
+        mode = (
+            MODE_MC if self.squares is not None
+            else MODE_QUADRATURE if rough is not None
+            else MODE_EXACT
+        )
+        coarse = None if rough is None else rough.estimates()
+        out = []
+        for i, q in enumerate(self.powers):
+            mean = self.sums[i] / n
+            value = mean ** (1.0 / q) if mean > 0 else 0.0
+            stderr = 0.0
+            if self.squares is not None and n > 1 and mean > 0:
+                var = max(self.squares[i] / n - mean**2, 0.0) * n / (n - 1)
+                stderr = math.sqrt(var / n) * value / (q * mean)
+            quad_error = 0.0 if coarse is None else abs(value - coarse[i].value)
+            out.append(Estimate(value, stderr, n, mode, quad_error))
+        return out
 
 
 def block_stderr(block_values: np.ndarray) -> float:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dirichlet_ruc
@@ -218,3 +219,89 @@ def test_cli_import_leaves_scipy_and_jsonschema_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def _witness_rows(tmp_path, space, xs, samples=1500):
+    """type-witness and cotype-witness JSON rows, plus the library's sign
+    average and denominator, for the family xs (terms n = 1, 2, ...)."""
+    problem = {
+        "schema": 1,
+        "space": space,
+        "p": 2,
+        "terms": [{"n": n + 1, "x": x} for n, x in enumerate(xs)],
+        "sampler": {"seed": 5, "samples": samples},
+    }
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(problem))
+    rows = []
+    for command in ("type-witness", "cotype-witness"):
+        code, out, err = run_cli([command, "--input", str(path), "--format", "json"])
+        assert code == 0, err
+        (row,) = json.loads(out)
+        rows.append(row)
+    parsed = parse_problem(path.read_bytes())
+    elements = [x for _, x in sorted(parsed.polynomial.terms.items())]
+    average = dirichlet_ruc.rademacher_average(elements, parsed.polynomial.space, 2.0, parsed.sampler)
+    return rows, average
+
+
+def _vectors(rng, count, d):
+    return [[[float(v.real), float(v.imag)] for v in rng.standard_normal(d) + 1j * rng.standard_normal(d)]
+            for _ in range(count)]
+
+
+def test_witness_past_exact_cutoff_reports_its_mc_stderr(tmp_path):
+    # 22 vectors: the sign average is sampled, so the witness carries its stderr
+    rows, average = _witness_rows(tmp_path, {"variant": "Sup", "d": 3},
+                                  _vectors(np.random.default_rng(30), 22, 3))
+    type_row, cotype_row = rows
+    assert average.mode == "mc" and average.stderr > 0
+    assert type_row["witness_mode"] == cotype_row["witness_mode"] == "mc"
+    relative = average.stderr / average.value
+    assert type_row["witness_stderr"] > 0
+    assert type_row["witness_stderr"] / type_row["witness"] == pytest.approx(relative, rel=1e-12)
+    assert cotype_row["witness_stderr"] / cotype_row["witness"] == pytest.approx(relative, rel=1e-12)
+    assert cotype_row["witness"] == 1.0 / type_row["witness"]
+
+
+def test_witness_of_a_large_hilbert_family_is_exact(tmp_path):
+    # Parseval gives the sign average in closed form at any length
+    rows, average = _witness_rows(tmp_path, {"variant": "Hilbert", "d": 4},
+                                  _vectors(np.random.default_rng(31), 22, 4))
+    assert average.mode == "exact"
+    for row in rows:
+        assert row["witness_mode"] == "exact"
+        assert row["witness_stderr"] == 0.0 and row["witness_quad_error"] == 0.0
+        assert row["witness"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_witness_of_a_function_space_family_is_quadrature(tmp_path):
+    xs = [
+        [{"exponents": [0], "c": [1, 0]}, {"exponents": [2], "c": [0.5, 0.25]}],
+        [{"exponents": [1], "c": [1, -1]}],
+        [{"exponents": [3], "c": [0.75, 0]}, {"exponents": [-1], "c": [0, 1]}],
+    ]
+    rows, average = _witness_rows(tmp_path, {"variant": "FunctionLr", "r": 1.5, "k": 1}, xs)
+    assert average.mode == "quadrature" and average.quad_error > 0
+    type_row, cotype_row = rows
+    assert type_row["witness_mode"] == cotype_row["witness_mode"] == "quadrature"
+    relative = average.quad_error / average.value
+    assert type_row["witness_quad_error"] / type_row["witness"] == pytest.approx(relative, rel=1e-12)
+    assert cotype_row["witness_quad_error"] / cotype_row["witness"] == pytest.approx(relative, rel=1e-12)
+    assert type_row["witness_stderr"] == cotype_row["witness_stderr"] == 0.0
+
+
+def test_witness_command_evaluates_the_sign_average_once(tmp_path, monkeypatch):
+    calls = []
+    average = dirichlet_ruc.constants.rademacher_average
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return average(*args, **kwargs)
+
+    monkeypatch.setattr(dirichlet_ruc.constants, "rademacher_average", counted)
+    for command in ("type-witness", "cotype-witness"):
+        calls.clear()
+        code, _, err = run_cli([command, "--input", fix("l2pair.json")])
+        assert code == 0, err
+        assert len(calls) == 1

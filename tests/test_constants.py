@@ -22,6 +22,7 @@ from dirichlet_ruc import (
     experiment_summing_basis,
     hp_norm,
     primes_up_to,
+    rademacher_average,
     ruc_constant_search,
     ruc_ratio,
     rud_ratio,
@@ -29,6 +30,7 @@ from dirichlet_ruc import (
     summing_combination,
     type_constant_witness,
 )
+from dirichlet_ruc import norm as space_norm
 from dirichlet_ruc import constants, sampling
 
 CFG = SamplerConfig(seed=13, samples=2000)
@@ -293,3 +295,18 @@ def test_function_valued_smoke_ratio():
 def test_kernel_values_reused_by_experiments():
     rows = experiment_lacunary_power(4, CFG)
     assert rows[1].rhs.value == dirichlet_kernel_l1(2).value
+
+
+def test_witness_floats_keep_their_formula_bit_for_bit():
+    rng = np.random.default_rng(60)
+    cfg = SamplerConfig(seed=3, samples=700)
+    trig = [TrigPolynomial({(1,): 1.0, (-2,): 0.5j}, 1), TrigPolynomial({(3,): 1 - 1j}, 1)]
+    for space, xs in [
+        (SupSpace(3), [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(22)]),
+        (SequenceSpace(1.5, 2), [rng.standard_normal(2) for _ in range(6)]),
+        (FunctionLr(1.5, 1), trig),
+    ]:
+        average = rademacher_average(xs, space, 2.0, cfg).value
+        denominator = math.sqrt(sum(space_norm(space, x).value ** 2 for x in xs))
+        assert type_constant_witness(space, xs, cfg) == average / denominator
+        assert cotype_constant_witness(space, xs, cfg) == 1.0 / (average / denominator)

@@ -7,6 +7,7 @@ from scipy import integrate
 from dirichlet_ruc import (
     DirichletPolynomial,
     DomainError,
+    Estimate,
     FunctionLr,
     GridPolicy,
     HilbertSpace,
@@ -160,6 +161,32 @@ def test_circle_hp_norm_examples():
     assert abs(est.value - 4 / math.pi) <= max(3 * est.quad_error, 1e-3)
     with pytest.raises(DomainError):
         circle_hp_norm(xs, HilbertSpace(1), 0.9)
+
+
+@pytest.mark.parametrize("norm", ["hp_norm", "circle_hp_norm"])
+def test_hp_and_circle_norms_share_one_closed_form_prologue(norm):
+    # Terms x_n at n = 1, 2, ... for circle_hp_norm and at n = 2, 3, ... for hp_norm.
+    space = SequenceSpace(3.0, 2)
+    xs = [np.array([1.0, 2j]), np.array([0.0, 0.0]), np.array([-1.0, 0.5])]
+
+    def run(elements, p, method="auto", target=space):
+        if norm == "circle_hp_norm":
+            return circle_hp_norm(elements, target, p, SamplerConfig(seed=2, samples=500), method)
+        D = DirichletPolynomial(target, {n + 2: x for n, x in enumerate(elements)})
+        return hp_norm(D, p, SamplerConfig(seed=2, samples=500), method)
+
+    for bad in ("bogus", "Exact", ""):
+        with pytest.raises(DomainError, match="unknown method"):
+            run(xs, 1.0, bad)
+    with pytest.raises(DomainError, match="p must be >= 1"):
+        run(xs, 0.5)
+    assert run([xs[1]], 1.0) == run([], 3.0) == Estimate(value=0.0)
+    assert run(xs[:2], 1.5) == space_norm(space, xs[0])  # one nonzero term
+    parseval = run(xs, 2.0, "exact", HilbertSpace(2))
+    assert parseval == Estimate(value=math.sqrt(1 + 4 + 1 + 0.25))
+    with pytest.raises(DomainError, match="no exact mode"):
+        run(xs, 1.0, "exact")
+    assert run(xs, 1.0, "mc").mode == "mc"
 
 
 def test_circle_hp_norm_hilbert_aggregate(rng):

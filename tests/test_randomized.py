@@ -332,8 +332,13 @@ def test_sign_averages_mirror_many_small_chunks_bitwise(space, monkeypatch):
     monkeypatch.setattr(randomized, "_PATTERN_CHUNK", 8)
     rng = np.random.default_rng(522)
     for m in range(2, 9):
-        family = _trig_family if isinstance(space, FunctionLr) else _vector_family
-        _assert_sign_averages_match_full_enumeration(space, family(space, m, rng), rng, chunk=8)
+        if isinstance(space, FunctionLr):  # chunks of a function space hold grid values
+            xs = _trig_family(space, m, rng)
+            budget = 8 * CombinationEvaluator(space, xs).grid_points
+            monkeypatch.setattr(randomized, "_CHUNK_BUDGET", budget)
+        else:
+            xs = _vector_family(space, m, rng)
+        _assert_sign_averages_match_full_enumeration(space, xs, rng, chunk=8)
 
 
 @pytest.mark.parametrize(
