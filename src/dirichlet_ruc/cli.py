@@ -13,7 +13,8 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -296,110 +297,106 @@ def _cmd_witness(args, out, which) -> int:
     return 0
 
 
-def _cmd_experiment(args, out) -> int:
+def _estimate_columns(prefix: str) -> list[str]:
+    return list(estimate_cells(prefix, None))
+
+
+def _summing_reports(args) -> list:
+    if not args.coeffs and not args.input:
+        raise ValidationError("experiment summing needs --coeffs or --input")
     cfg = _resolve_sampler(args, None)
-    if args.kind == "prime-ap":
-        rows_data = constants.experiment_prime_ap(
-            _parse_int_list(args.lengths), args.bound, cfg
-        )
-        rows = []
-        for r in rows_data:
-            rows.append(
-                {
-                    "N": r.length,
-                    "start": r.ap.start if r.ap else "",
-                    "step": r.ap.step if r.ap else "",
-                    **estimate_cells("lhs", r.lhs),
-                    **estimate_cells("rhs", r.rhs),
-                    **(
-                        ratio_cells("ratio", r.lhs, r.rhs, r.ratio)
-                        if r.ratio is not None
-                        else {"ratio": "", "ratio_stderr": "", "ratio_quad_error": "", "ratio_mode": ""}
-                    ),
-                    "note": r.note,
-                }
-            )
-        columns = [
-            "N", "start", "step",
-            "lhs", "lhs_stderr", "lhs_quad_error", "lhs_mode",
-            "rhs", "rhs_stderr", "rhs_quad_error", "rhs_mode",
-            "ratio", "ratio_stderr", "ratio_quad_error", "ratio_mode", "note",
-        ]
-        emit(rows, columns, args.format, out)
-        if args.plot:
-            plotted = [(r.length, r.ratio) for r in rows_data if r.ratio is not None]
-            write_line_chart(
-                args.plot, [x for x, _ in plotted], [y for _, y in plotted], "N", "sqrt(N) / L1(N)"
-            )
-        return 0
-    if args.kind == "lacunary":
-        rows_data = constants.experiment_lacunary_power(args.max_n, cfg)
-        rows = [
-            {
-                "N": r.n,
-                **estimate_cells("lhs", r.lhs),
-                **estimate_cells("rhs", r.rhs),
-                **ratio_cells("ratio", r.lhs, r.rhs, r.ratio),
-            }
-            for r in rows_data
-        ]
-        columns = [
-            "N",
-            "lhs", "lhs_stderr", "lhs_quad_error", "lhs_mode",
-            "rhs", "rhs_stderr", "rhs_quad_error", "rhs_mode",
-            "ratio", "ratio_stderr", "ratio_quad_error", "ratio_mode",
-        ]
-        emit(rows, columns, args.format, out)
-        if args.plot:
-            write_line_chart(
-                args.plot, [r.n for r in rows_data], [r.ratio for r in rows_data], "N", "sqrt(N) / L1(N)"
-            )
-        return 0
-    if args.kind == "summing":
-        if args.input:
-            problem, _, cfg = _load_problem(args)
-            if problem.coefficients is not None:
-                coeffs = list(problem.coefficients)
-            else:
-                coeffs = [complex(x[0]) for x in _ordered_elements(problem)]
+    if args.input:
+        problem, _, cfg = _load_problem(args)
+        if problem.coefficients is not None:
+            coeffs = list(problem.coefficients)
         else:
-            coeffs = _parse_complex_list(args.coeffs)
-        report = constants.experiment_summing_basis(coeffs, cfg)
-        row = {
-            "m": len(report.coefficients),
-            **estimate_cells("sup_tail_norm", report.sup_tail_norm),
-            "l2_lower_bound": report.l2_lower_bound,
-            "carleson_hunt_ratio": report.carleson_hunt_ratio,
-            "lower_bound_ok": report.lower_bound_ok,
-        }
-        emit(
-            [row],
-            [
-                "m",
-                "sup_tail_norm", "sup_tail_norm_stderr", "sup_tail_norm_quad_error",
-                "sup_tail_norm_mode", "l2_lower_bound", "carleson_hunt_ratio",
-                "lower_bound_ok",
-            ],
-            args.format,
-            out,
-        )
-        if args.plot:
-            write_line_chart(
-                args.plot,
-                [len(report.coefficients)],
-                [report.carleson_hunt_ratio],
-                "m",
-                "M / l2(a)",
-            )
-        return 0
-    # kernel
-    rows_data = [(n, dirichlet.dirichlet_kernel_l1(n)) for n in _parse_int_list(args.ns)]
-    rows = [{"N": n, **estimate_cells("l1", est)} for n, est in rows_data]
-    emit(rows, ["N", "l1", "l1_stderr", "l1_quad_error", "l1_mode"], args.format, out)
+            coeffs = [complex(x[0]) for x in _ordered_elements(problem)]
+    else:
+        coeffs = _parse_complex_list(args.coeffs)
+    return [constants.experiment_summing_basis(coeffs, cfg)]
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    compute: Callable  # args -> results
+    row: Callable  # one result -> one output row
+    columns: list[str]
+    plot: Callable  # results -> (xs, ys, xlabel, ylabel)
+
+
+_SQRT_OVER_L1 = (*_estimate_columns("lhs"), *_estimate_columns("rhs"), *_estimate_columns("ratio"))
+
+_EXPERIMENTS = {
+    "prime-ap": _Experiment(
+        compute=lambda args: constants.experiment_prime_ap(
+            _parse_int_list(args.lengths), args.bound
+        ),
+        row=lambda r: {
+            "N": r.length,
+            "start": r.ap.start if r.ap else "",
+            "step": r.ap.step if r.ap else "",
+            **estimate_cells("lhs", r.lhs),
+            **estimate_cells("rhs", r.rhs),
+            **(
+                ratio_cells("ratio", r.lhs, r.rhs, r.ratio)
+                if r.ratio is not None
+                else estimate_cells("ratio", None)
+            ),
+            "note": r.note,
+        },
+        columns=["N", "start", "step", *_SQRT_OVER_L1, "note"],
+        plot=lambda rs: (
+            [r.length for r in rs if r.ratio is not None],
+            [r.ratio for r in rs if r.ratio is not None],
+            "N",
+            "sqrt(N) / L1(N)",
+        ),
+    ),
+    "lacunary": _Experiment(
+        compute=lambda args: constants.experiment_lacunary_power(args.max_n),
+        row=lambda r: {
+            "N": r.n,
+            **estimate_cells("lhs", r.lhs),
+            **estimate_cells("rhs", r.rhs),
+            **ratio_cells("ratio", r.lhs, r.rhs, r.ratio),
+        },
+        columns=["N", *_SQRT_OVER_L1],
+        plot=lambda rs: ([r.n for r in rs], [r.ratio for r in rs], "N", "sqrt(N) / L1(N)"),
+    ),
+    "summing": _Experiment(
+        compute=_summing_reports,
+        row=lambda r: {
+            "m": len(r.coefficients),
+            **estimate_cells("sup_tail_norm", r.sup_tail_norm),
+            "l2_lower_bound": r.l2_lower_bound,
+            "carleson_hunt_ratio": r.carleson_hunt_ratio,
+            "lower_bound_ok": r.lower_bound_ok,
+        },
+        columns=[
+            "m", *_estimate_columns("sup_tail_norm"),
+            "l2_lower_bound", "carleson_hunt_ratio", "lower_bound_ok",
+        ],
+        plot=lambda rs: (
+            [len(r.coefficients) for r in rs], [r.carleson_hunt_ratio for r in rs], "m", "M / l2(a)"
+        ),
+    ),
+    "kernel": _Experiment(
+        compute=lambda args: [
+            (n, dirichlet.dirichlet_kernel_l1(n)) for n in _parse_int_list(args.ns)
+        ],
+        row=lambda r: {"N": r[0], **estimate_cells("l1", r[1])},
+        columns=["N", *_estimate_columns("l1")],
+        plot=lambda rs: ([n for n, _ in rs], [e.value for _, e in rs], "N", "L1(N)"),
+    ),
+}
+
+
+def _cmd_experiment(args, out) -> int:
+    experiment = _EXPERIMENTS[args.kind]
+    results = experiment.compute(args)
+    emit([experiment.row(r) for r in results], experiment.columns, args.format, out)
     if args.plot:
-        write_line_chart(
-            args.plot, [n for n, _ in rows_data], [e.value for _, e in rows_data], "N", "L1(N)"
-        )
+        write_line_chart(args.plot, *experiment.plot(results))
     return 0
 
 
@@ -526,8 +523,6 @@ def run(argv: list[str], out=None, err=None) -> int:
         if args.command == "cotype-witness":
             return _cmd_witness(args, out, constants._cotype_witness)
         if args.command == "experiment":
-            if args.kind == "summing" and not args.coeffs and not args.input:
-                raise ValidationError("experiment summing needs --coeffs or --input")
             return _cmd_experiment(args, out)
         raise ValidationError(f"unknown command {args.command!r}")
     except (ValidationError, ValueError, OverflowError, RuntimeError, OSError) as exc:

@@ -22,6 +22,7 @@ from .errors import DomainError, UndefinedRatioError
 from .randomized import hprad_norm, rademacher_average
 from .sampling import (
     MODE_EXACT,
+    MODE_QUADRATURE,
     STREAM_SEARCH,
     STREAM_SUMMING,
     _CHUNK_BUDGET,
@@ -205,19 +206,26 @@ def ruc_constant_search(
 
 def _type_witness(space: SpaceSpec, xs: Sequence, cfg: SamplerConfig | None) -> Estimate:
     """The type witness with the mode, stderr and quadrature error of its
-    sign average, scaled by the same denominator."""
+    sign average, scaled by the same denominator.  The quadrature error of
+    the denominator's norms adds its relative error to the witness's."""
     cfg = cfg if cfg is not None else SamplerConfig()
     elements = [as_element(space, x) for x in xs]
     if not elements or all(element_is_zero(x) for x in elements):
         raise DomainError("need at least one nonzero element")
     average = rademacher_average(elements, space, 2.0, cfg)
-    denominator = math.sqrt(sum(space_norm(space, x).value ** 2 for x in elements))
+    norms = [space_norm(space, x) for x in elements]
+    squares = sum(n.value**2 for n in norms)
+    denominator = math.sqrt(squares)
+    # first order: d sqrt(sum v^2) / sqrt(sum v^2) = sum v dv / sum v^2
+    relative = sum(n.value * n.quad_error for n in norms) / squares
+    value = average.value / denominator
+    mode = MODE_QUADRATURE if relative and average.mode == MODE_EXACT else average.mode
     return Estimate(
-        value=average.value / denominator,
+        value=value,
         stderr=average.stderr / denominator,
         samples_used=average.samples_used,
-        mode=average.mode,
-        quad_error=average.quad_error / denominator,
+        mode=mode,
+        quad_error=average.quad_error / denominator + value * relative,
     )
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -114,6 +115,122 @@ def _pointer(path) -> str:
     return "/" + "/".join(str(part) for part in path)
 
 
+class _Fault(NamedTuple):
+    path: tuple
+    keyword: str
+    message: str
+    matches_type: bool  # the node has the type its failing schema asks for
+    context: tuple = ()  # the failures of each anyOf branch
+
+
+def _is_type(node, name: str) -> bool:
+    if name == "object":
+        return isinstance(node, dict)
+    if name == "array":
+        return isinstance(node, list)
+    number = isinstance(node, (int, float)) and not isinstance(node, bool)
+    if name == "number":
+        return number
+    return number and (isinstance(node, int) or node.is_integer())  # "integer": 1.0 counts
+
+
+def _same(a, b) -> bool:
+    """JSON equality, in which true and false are not the numbers 1 and 0."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    return a == b
+
+
+def _faults(node, schema: dict, path: tuple) -> Iterator[_Fault]:
+    """Every violation of the schema by the node, in the order of the schema's
+    keywords.  Interprets the keywords PROBLEM_SCHEMA uses, with the messages
+    of the JSON Schema reference implementation."""
+
+    def fault(keyword: str, message: str, context: tuple = ()) -> _Fault:
+        expected = schema.get("type")
+        matches = expected is not None and _is_type(node, expected)
+        return _Fault(path, keyword, message, matches, context)
+
+    for keyword, value in schema.items():
+        if keyword == "type":
+            if not _is_type(node, value):
+                yield fault(keyword, f"{node!r} is not of type {value!r}")
+        elif keyword == "const":
+            if not _same(node, value):
+                yield fault(keyword, f"{value!r} was expected")
+        elif keyword == "enum":
+            if not any(_same(node, v) for v in value):
+                yield fault(keyword, f"{node!r} is not one of {value!r}")
+        elif keyword == "minimum":
+            if _is_type(node, "number") and node < value:
+                yield fault(keyword, f"{node!r} is less than the minimum of {value!r}")
+        elif keyword == "maximum":
+            if _is_type(node, "number") and node > value:
+                yield fault(keyword, f"{node!r} is greater than the maximum of {value!r}")
+        elif keyword == "minItems":
+            if isinstance(node, list) and len(node) < value:
+                yield fault(keyword, f"{node!r} is too short")
+        elif keyword == "maxItems":
+            if isinstance(node, list) and len(node) > value:
+                yield fault(keyword, f"{node!r} is too long")
+        elif keyword == "items":
+            if isinstance(node, list):
+                for i, item in enumerate(node):
+                    yield from _faults(item, value, path + (i,))
+        elif keyword == "required":
+            if isinstance(node, dict):
+                for key in value:
+                    if key not in node:
+                        yield fault(keyword, f"{key!r} is a required property")
+        elif keyword == "properties":
+            if isinstance(node, dict):
+                for key, subschema in value.items():
+                    if key in node:
+                        yield from _faults(node[key], subschema, path + (key,))
+        elif keyword == "additionalProperties" and value is False:
+            extras = set(node) - set(schema.get("properties", {})) if isinstance(node, dict) else ()
+            if extras:
+                names = ", ".join(repr(key) for key in sorted(extras))
+                verb = "was" if len(extras) == 1 else "were"
+                message = f"Additional properties are not allowed ({names} {verb} unexpected)"
+                yield fault(keyword, message)
+        elif keyword == "anyOf":
+            context = []
+            for subschema in value:
+                branch = list(_faults(node, subschema, path))
+                if not branch:
+                    break
+                context += branch
+            else:
+                message = f"{node!r} is not valid under any of the given schemas"
+                yield fault(keyword, message, tuple(context))
+        elif keyword != "$schema":
+            raise NotImplementedError(f"schema keyword {keyword!r}")
+
+
+def _relevance(fault: _Fault) -> tuple:
+    """Sort key of jsonschema's best_match: the most relevant fault has the
+    largest key (the shallowest; then the later sibling, not an anyOf, a
+    node of the wrong type), and within a failed anyOf the branch fault
+    with the smallest key (the deepest) is the more specific."""
+    return (-len(fault.path), fault.path, fault.keyword != "anyOf", not fault.matches_type)
+
+
+def _check_schema(data) -> None:
+    """Raise ValidationError for the most relevant violation of
+    PROBLEM_SCHEMA; a failed anyOf reports its most specific branch failure
+    when exactly one ranks first."""
+    best = max(_faults(data, PROBLEM_SCHEMA, ()), key=_relevance, default=None)
+    if best is None:
+        return
+    while best.context:
+        first, *second = sorted(best.context, key=_relevance)[:2]
+        if second and _relevance(first) == _relevance(second[0]):
+            break
+        best = first
+    raise ValidationError(best.message, _pointer(best.path))
+
+
 def _space_from_dict(node: dict) -> SpaceSpec:
     variant = node["variant"]
     if variant == "Sequence":
@@ -171,12 +288,7 @@ def parse_problem(text: bytes | str) -> ParsedProblem:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid JSON: {exc}") from exc
-    import jsonschema  # imported on use, so commands that read no problem file skip it
-
-    try:
-        jsonschema.validate(data, PROBLEM_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ValidationError(exc.message, _pointer(exc.absolute_path)) from exc
+    _check_schema(data)
 
     space = _space_from_dict(data["space"])
     seen: set[int] = set()

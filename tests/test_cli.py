@@ -205,20 +205,113 @@ def test_json_format_is_valid_json():
     assert rows[0]["value"] == 2.0
 
 
-def test_cli_import_leaves_scipy_and_jsonschema_unloaded():
-    # Both load on first use (the Dirichlet kernel, a problem file), so
-    # commands that need neither do not pay for importing them.
+def _run_python(code: str) -> subprocess.CompletedProcess:
     src = str(Path(dirichlet_ruc.__file__).resolve().parents[1])
-    code = (
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def test_cli_import_leaves_scipy_and_jsonschema_unloaded():
+    # The runtime needs neither: they serve the tests as references only.
+    done = _run_python(
         "import sys, dirichlet_ruc.cli; "
         "print(sorted(m for m in ('scipy', 'jsonschema') if m in sys.modules))"
     )
-    env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
-    )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_kernel_and_problem_commands_run_without_scipy_and_jsonschema():
+    argvs = [
+        ["experiment", "kernel", "--ns", "2,8"],
+        ["experiment", "prime-ap", "--lengths", "3..5", "--bound", "100"],
+        ["experiment", "lacunary", "--max-n", "8"],
+        ["norm", "--input", fix("hilbert4.json")],
+    ]
+    done = _run_python(
+        "import sys\n"
+        "sys.modules['scipy'] = sys.modules['jsonschema'] = None  # makes their import fail\n"
+        "from dirichlet_ruc import cli\n"
+        f"for argv in {argvs!r}:\n"
+        "    assert cli.run(argv) == 0, argv\n"
+    )
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout.splitlines()) == (1 + 2) + (1 + 3) + (1 + 4) + (1 + 1)  # headers, rows
+
+
+def _valid_problem() -> dict:
+    return {
+        "schema": 1,
+        "space": {"variant": "FunctionLr", "r": 1.5, "k": 2},
+        "p": 2,
+        "terms": [
+            {"n": 1, "x": [[1, 0], {"exponents": [0, 1], "c": [1, 0]}]},
+            {"n": 3, "x": [[0.5, 0.25]]},
+        ],
+        "coefficients": [[1, 0], [0, 1]],
+        "sampler": {
+            "seed": 3, "samples": 10, "exact_cutoff": 4,
+            "grid": {"factor": 2, "min_size": 4, "max_points": 64},
+        },
+    }
+
+
+def _single_faults(doc: dict):
+    """One mutation at a time of every node of doc: dropped, replaced by a
+    bool, 1.0, 0.5, a value past every bound, a 1- or 3-element pair, an
+    object; and every object given an extra key."""
+
+    def nodes(node, path=()):
+        yield path, node
+        if not isinstance(node, (dict, list)):
+            return
+        children = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in children:
+            yield from nodes(child, path + (key,))
+
+    drop = object()
+
+    def edited(path, value):
+        copy = json.loads(json.dumps(doc))
+        parent = copy
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is drop:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        return copy
+
+    for path, node in list(nodes(doc))[1:]:
+        for value in (drop, True, 1.0, 0.5, -1, 25, "x", [1], [1, 2, 3], {}):
+            yield edited(path, value)
+        if isinstance(node, dict):
+            yield edited(path + ("extra",), 1)
+    yield edited(("extra",), 1)
+
+
+def test_schema_validator_matches_jsonschema():
+    jsonschema = pytest.importorskip("jsonschema")
+    from dirichlet_ruc.serialization import PROBLEM_SCHEMA, _check_schema
+
+    reference = jsonschema.Draft202012Validator(PROBLEM_SCHEMA)
+    documents = [json.loads(path.read_text()) for path in sorted(FIXTURES.glob("*.json"))]
+    documents += [_valid_problem(), *_single_faults(_valid_problem())]
+    rejected = 0
+    for doc in documents:
+        want = jsonschema.exceptions.best_match(reference.iter_errors(doc))
+        if want is not None:
+            want = ("/" + "/".join(str(part) for part in want.absolute_path), want.message)
+            rejected += 1
+        try:
+            _check_schema(doc)
+            got = None
+        except ValidationError as exc:
+            got = (exc.pointer, exc.message)
+        assert got == want, json.dumps(doc)
+    assert rejected > 300 and len(documents) - rejected > 50  # both outcomes well covered
 
 
 def _witness_rows(tmp_path, space, xs, samples=1500):
@@ -285,7 +378,13 @@ def test_witness_of_a_function_space_family_is_quadrature(tmp_path):
     assert average.mode == "quadrature" and average.quad_error > 0
     type_row, cotype_row = rows
     assert type_row["witness_mode"] == cotype_row["witness_mode"] == "quadrature"
-    relative = average.quad_error / average.value
+    # the denominator's norms are quadratures too: their relative error adds
+    parsed = parse_problem((tmp_path / "family.json").read_bytes()).polynomial
+    norms = [dirichlet_ruc.spaces.norm(parsed.space, x) for x in parsed.terms.values()]
+    assert max(n.quad_error for n in norms) > 0
+    from_norms = sum(n.value * n.quad_error for n in norms) / sum(n.value**2 for n in norms)
+    assert from_norms > 0.2 * average.quad_error / average.value
+    relative = average.quad_error / average.value + from_norms
     assert type_row["witness_quad_error"] / type_row["witness"] == pytest.approx(relative, rel=1e-12)
     assert cotype_row["witness_quad_error"] / cotype_row["witness"] == pytest.approx(relative, rel=1e-12)
     assert type_row["witness_stderr"] == cotype_row["witness_stderr"] == 0.0

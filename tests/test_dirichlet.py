@@ -224,6 +224,41 @@ def test_dirichlet_kernel_against_sum_oracle():
         assert_close(dirichlet_kernel_l1(N).value, oracle, 1e-7, f"kernel N={N}")
 
 
+def _kernel_l1_without_quadrature(N: int) -> float:
+    """L1(N) = (1/pi) sum over panels of |F(t_{j+1}) - F(t_j)|, where
+    F(t) = sum_k sin(k t) / k over k = (N-1)/2, (N-1)/2 - 1, ..., -(N-1)/2
+    (the k = 0 term is t) is an antiderivative of the kernel, whose sign is
+    constant between its zeros t_j = 2 pi j / N.  With k = h / 2 and
+    t = pi q / N, sin(k t) = sin(pi h q / (2N)): the integer h q is reduced
+    mod 4N, the angle folded into [0, pi/2], and each F summed by fsum."""
+    period = 4 * N
+    r = np.arange(period)
+    folded = np.minimum(r % (2 * N), 2 * N - r % (2 * N))
+    sines = np.where(r < 2 * N, 1.0, -1.0) * np.sin(math.pi * folded / (2 * N))
+    h = np.arange(N - 1, 0, -2)  # the k > 0; each pairs with -k
+    qs = list(range(0, N + 1, 2)) + ([N] if N % 2 else [])
+    F = []
+    for block in np.array_split(np.array(qs), max(1, len(qs) * len(h) // 2**18)):
+        terms = 4.0 * sines[np.outer(block, h) % period] / h
+        for q, row in zip(block.tolist(), terms):
+            F.append(math.fsum(row.tolist() + ([math.pi * q / N] if N % 2 else [])))
+    return math.fsum(abs(b - a) for a, b in zip(F, F[1:])) / math.pi
+
+
+def test_kernel_oracle_closed_forms():
+    assert _kernel_l1_without_quadrature(2) == 4 / math.pi
+    assert _kernel_l1_without_quadrature(3) == pytest.approx(
+        1 / 3 + 2 * math.sqrt(3) / math.pi, rel=2.3e-16
+    )
+
+
+def test_dirichlet_kernel_error_bounds_the_true_error():
+    for N in [*range(2, 401), 1000, 4001]:
+        est = dirichlet_kernel_l1(N)
+        oracle = _kernel_l1_without_quadrature(N)
+        assert abs(est.value - oracle) <= est.quad_error <= 1e-12 * est.value, N
+
+
 def test_function_space_polynomial_norms():
     # Vector coefficients living in L_1 of the circle.
     space = FunctionLr(1, 1)
