@@ -40,14 +40,10 @@ class MultiIndex:
     __slots__ = ("_pairs", "_length")
 
     def __init__(self, exponents: Sequence[int] = ()):
-        pairs = []
-        for slot, e in enumerate(exponents):
-            e = int(e)
-            if e < 0:
-                raise DomainError("exponents must be non-negative")
-            if e:
-                pairs.append((slot, e))
-        self._pairs = tuple(pairs)
+        exponents = [int(e) for e in exponents]
+        if min(exponents, default=0) < 0:
+            raise DomainError("exponents must be non-negative")
+        self._pairs = tuple((slot, e) for slot, e in enumerate(exponents) if e)
         self._length = self._pairs[-1][0] + 1 if self._pairs else 0
 
     @classmethod
@@ -66,26 +62,13 @@ class MultiIndex:
         return self._length
 
     def __getitem__(self, slot: int):
-        if isinstance(slot, slice):
-            return tuple(self)[slot]
-        if slot < 0:
-            slot += self._length
-        if not 0 <= slot < self._length:
-            raise IndexError(slot)
-        for s, e in self._pairs:
-            if s == slot:
-                return e
-            if s > slot:
-                return 0
-        return 0
+        return tuple(self)[slot]
 
     def __iter__(self) -> Iterator[int]:
-        previous = -1
-        for s, e in self._pairs:
-            yield from (0 for _ in range(s - previous - 1))
-            yield e
-            previous = s
-        yield from (0 for _ in range(self._length - previous - 1))
+        dense = [0] * self._length
+        for slot, e in self._pairs:
+            dense[slot] = e
+        return iter(dense)
 
     def _as_key(self, other):
         if isinstance(other, MultiIndex):
@@ -125,62 +108,55 @@ class MultiIndex:
 
 
 class PrimeTable:
-    """All primes up to `limit`, with O(log) prime -> slot lookup."""
+    """All primes up to `limit` as one sorted array; a prime's slot is its
+    position in it (2 -> 0, 3 -> 1, ...)."""
 
     def __init__(self, primes: np.ndarray, limit: int):
-        self._primes = primes
+        self.primes = primes
         self.limit = int(limit)
-        self._spf: np.ndarray | None = None
-        self._plist: list[int] | None = None
-        self._slots: dict[int, int] | None = None
-
-    @property
-    def primes(self) -> np.ndarray:
-        return self._primes
-
-    def _as_list(self) -> list[int]:
-        if self._plist is None:
-            self._plist = [int(p) for p in self._primes]
-        return self._plist
-
-    def _slot_map(self) -> dict[int, int]:
-        if self._slots is None:
-            self._slots = {p: i for i, p in enumerate(self._as_list())}
-        return self._slots
+        self._view = memoryview(primes)  # scalar reads give ints without a list copy
+        self._spf: memoryview | None = None  # the slot sieve, as int32
 
     def __len__(self) -> int:
-        return len(self._primes)
+        return len(self._view)
 
     def __getitem__(self, i: int) -> int:
-        return self._as_list()[i]
+        return self._view[i]
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._as_list())
+        return iter(self._view)
+
+    def _find(self, n: int) -> int:
+        """Slot of n if n is a prime of the table, else -1."""
+        slot = int(np.searchsorted(self.primes, n)) if 2 <= n <= self.limit else len(self)
+        return slot if slot < len(self) and self._view[slot] == n else -1
 
     def is_prime(self, n: int) -> bool:
         if n > self.limit:
             raise DomainError(f"{n} exceeds sieve limit {self.limit}")
-        return n in self._slot_map()
+        return self._find(n) >= 0
 
     def slot_of(self, p: int) -> int:
         """Zero-based position of the prime p (2 -> 0, 3 -> 1, ...)."""
-        slot = self._slot_map().get(p)
-        if slot is None:
+        slot = self._find(p)
+        if slot < 0:
             raise DomainError(f"{p} is not a prime within the table")
         return slot
 
     def smallest_factor_table(self) -> np.ndarray:
-        """Smallest-prime-factor array for 0..limit (built lazily, cached)."""
+        """Slot sieve for 0..limit: entry n >= 2 is the slot of n's smallest
+        prime factor, as int32 (built lazily, cached)."""
+        return np.asarray(self._slot_sieve())
+
+    def _slot_sieve(self) -> memoryview:
         if self._spf is None:
-            spf = np.zeros(self.limit + 1, dtype=np.int64)
-            for p in range(2, math.isqrt(self.limit) + 1):
-                if spf[p] == 0:
-                    block = spf[p * p :: p]
-                    block[block == 0] = p
-            untouched = spf == 0
-            untouched[:2] = False
-            spf[untouched] = np.nonzero(untouched)[0]
-            self._spf = spf
+            spf = np.zeros(self.limit + 1, dtype=np.int32)
+            spf[self.primes] = np.arange(len(self), dtype=np.int32)
+            root = int(np.searchsorted(self.primes, math.isqrt(self.limit), side="right"))
+            for slot in reversed(range(root)):  # smaller primes overwrite larger ones
+                p = self._view[slot]
+                spf[p * p :: p] = slot
+            self._spf = memoryview(spf)
         return self._spf
 
 
@@ -220,37 +196,46 @@ def factorize(n: int, table: PrimeTable | None = None) -> MultiIndex:
 
     Supports n up to 2**63 - 1 as long as every prime factor fits inside
     the sieve budget (a huge prime factor would need its slot number, i.e.
-    a sieve up to that prime).
+    a sieve up to that prime).  Up to the table's limit the slot sieve
+    factors n, past it trial division does.
     """
     n = int(n)
     if n < 1:
         raise DomainError("factorize requires n >= 1")
     if n > MAX_INDEX:
         raise OverflowLimitError(f"{n} exceeds {MAX_INDEX}")
-    if n == 1:
-        return MultiIndex()
     table = table if table is not None else shared_table()
-    if n <= table.limit:
-        return _factorize_spf(n, table)
-    return _factorize_trial(n, table)
-
-
-def _factorize_spf(n: int, table: PrimeTable) -> MultiIndex:
-    spf = table.smallest_factor_table()
+    if n > table.limit:
+        return _factorize_trial(n, table)
+    spf, primes = table._slot_sieve(), table._view
     factors: list[tuple[int, int]] = []
     while n > 1:
-        p = int(spf[n])
+        slot = spf[n]
+        p = primes[slot]
         count = 0
         while n % p == 0:
             n //= p
             count += 1
-        factors.append((p, count))
-    return _to_multi_index(factors, table)
+        factors.append((slot, count))
+    return MultiIndex.from_pairs(factors)
 
 
 def _factorize_trial(n: int, table: PrimeTable) -> MultiIndex:
+    """Trial division by the table's primes.  A leftover with no factor in
+    the table is tested for primality first: a prime one needs a sieve up to
+    itself for its slot, a composite one up to its square root at most."""
     factors: list[tuple[int, int]] = []
-    for p in map(int, table.primes):
+    slot = 0
+    while n > 1:
+        if slot == len(table):
+            if _is_prime(n):
+                break
+            need = min(math.isqrt(n), SIEVE_LIMIT)
+            if table.limit >= need:
+                raise ResourceError(f"prime factors of {n} exceed sieve budget {SIEVE_LIMIT}")
+            table = shared_table(need)
+            continue
+        p = table[slot]
         if p * p > n:
             break
         if n % p == 0:
@@ -258,46 +243,51 @@ def _factorize_trial(n: int, table: PrimeTable) -> MultiIndex:
             while n % p == 0:
                 n //= p
                 count += 1
-            factors.append((p, count))
+            factors.append((slot, count))
+        slot += 1
     if n > 1:
         if n > SIEVE_LIMIT:
-            raise ResourceError(
-                f"prime factor {n} exceeds sieve budget {SIEVE_LIMIT}"
-            )
-        table = shared_table(n)
-        factors.append((n, 1))
-    return _to_multi_index(factors, table)
+            raise ResourceError(f"prime factor {n} exceeds sieve budget {SIEVE_LIMIT}")
+        if n > table.limit:
+            table = shared_table(n)
+        factors.append((table.slot_of(n), 1))
+    return MultiIndex.from_pairs(factors)
 
 
-def _to_multi_index(factors: list[tuple[int, int]], table: PrimeTable) -> MultiIndex:
-    return MultiIndex.from_pairs(
-        (table.slot_of(p), count) for p, count in factors
-    )
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin on the first 12 prime bases, exact for
+    n < 3.3 * 10**24 (so for every n <= MAX_INDEX)."""
+    witnesses = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n <= witnesses[-1]:
+        return n in witnesses
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s, d odd
+    d = (n - 1) >> s
+    for a in witnesses:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):  # a witness unless n - 1 is among x, x^2, ..., x^(2^(s-1))
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
 
 
 def index_of(alpha: Sequence[int], table: PrimeTable | None = None) -> int:
     """The integer p_1^{a_1} * ... * p_m^{a_m}; inverse of factorize."""
     alpha = alpha if isinstance(alpha, MultiIndex) else MultiIndex(alpha)
-    if not alpha.pairs:
-        return 1
-    if table is None or len(table) < len(alpha):
-        table = shared_table(_nth_prime_bound(len(alpha)))
-        while len(table) < len(alpha):
-            table = shared_table(table.limit + 1)  # the next size up
-    n = 1
+    table = table if table is not None else shared_table()
+    while len(table) < len(alpha):
+        table = shared_table(table.limit + 1)  # the next size up
+    n, primes = 1, table._view
     for slot, exp in alpha.pairs:
-        p = table[slot]
-        for _ in range(exp):
-            n *= p
-            if n > MAX_INDEX:
-                raise OverflowLimitError("index exceeds 2**63 - 1")
+        # exp > 63 overflows for every prime (2**64 > MAX_INDEX): refuse it
+        # before raising a prime to a huge power.
+        if exp > 63 or (n := n * primes[slot] ** exp) > MAX_INDEX:
+            raise OverflowLimitError("index exceeds 2**63 - 1")
     return n
-
-
-def _nth_prime_bound(m: int) -> int:
-    if m < 6:
-        return 16
-    return int(m * (math.log(m) + math.log(math.log(m)) + 1)) + 16
 
 
 class TorusPoint:

@@ -391,12 +391,16 @@ _EXPERIMENTS = {
 }
 
 
-def _cmd_experiment(args, out) -> int:
+def _cmd_experiment(args, out, err) -> int:
     experiment = _EXPERIMENTS[args.kind]
     results = experiment.compute(args)
     emit([experiment.row(r) for r in results], experiment.columns, args.format, out)
     if args.plot:
-        write_line_chart(args.plot, *experiment.plot(results))
+        xs, *chart = experiment.plot(results)
+        if xs:
+            write_line_chart(args.plot, xs, *chart)
+        else:
+            print(f"note: no row has a value to plot; {args.plot} not written", file=err)
     return 0
 
 
@@ -523,7 +527,7 @@ def run(argv: list[str], out=None, err=None) -> int:
         if args.command == "cotype-witness":
             return _cmd_witness(args, out, constants._cotype_witness)
         if args.command == "experiment":
-            return _cmd_experiment(args, out)
+            return _cmd_experiment(args, out, err)
         raise ValidationError(f"unknown command {args.command!r}")
     except (ValidationError, ValueError, OverflowError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=err)

@@ -121,27 +121,27 @@ def vertical_translate(D: DirichletPolynomial, sigma: float) -> DirichletPolynom
 
 def bohr_lift(D: DirichletPolynomial) -> PolytorusPolynomial:
     """Rewrite frequencies in prime exponents; bijective on supports."""
-    lifted: dict[MultiIndex, Element] = {}
-    variables = 0
-    for n, x in D.terms.items():
-        alpha = factorize(n)
-        lifted[alpha] = x
-        variables = max(variables, len(alpha))
-    return PolytorusPolynomial(space=D.space, terms=lifted, variables=variables)
+    ns = list(D.terms)
+    exps = _exponent_rows(ns)
+    terms = {MultiIndex(row): D.terms[n] for n, row in zip(ns, exps)}
+    return PolytorusPolynomial(space=D.space, terms=terms, variables=exps.shape[1])
 
 
 def lift_arrays(D: DirichletPolynomial) -> tuple[list[Element], np.ndarray, list[int]]:
     """(elements, exponent matrix (N, V), frequencies) for the nonzero terms."""
-    pairs = D.nonzero_terms()
-    ns = [n for n, _ in pairs]
-    xs = [x for _, x in pairs]
+    ns = D.support()
+    return [D.terms[n] for n in ns], _exponent_rows(ns), ns
+
+
+def _exponent_rows(ns: list[int]) -> np.ndarray:
+    """The Bohr lift: row i holds the prime exponents of ns[i], over as many
+    columns as the largest prime slot used."""
     alphas = [factorize(n) for n in ns]
-    variables = max((len(a) for a in alphas), default=0)
-    exps = np.zeros((len(ns), max(variables, 1)), dtype=np.int64)
-    for i, a in enumerate(alphas):
-        for slot, e in a.pairs:
+    exps = np.zeros((len(ns), max(map(len, alphas), default=0)), dtype=np.int64)
+    for i, alpha in enumerate(alphas):
+        for slot, e in alpha.pairs:
             exps[i, slot] = e
-    return xs, exps[:, :variables] if variables else exps[:, :0], ns
+    return exps
 
 
 def _grid_fractions(sizes: Sequence[int]) -> np.ndarray:
@@ -186,20 +186,22 @@ def _polytorus_norm(
     method: str,
 ) -> Estimate:
     """Shared engine for H_p and circle norms of sum x_n * z^{E[n]}."""
-    variables = exponents.shape[1]
     evaluator = CombinationEvaluator(space, xs)
-    if variables == 0:
+    if exponents.shape[1] == 0:
         value = float(evaluator.norms(np.ones((len(xs), 1)))[0])
         return Estimate(value=value, mode=MODE_EXACT)
+    # The grid spans only the variables some term uses; the Monte Carlo
+    # panel keeps every column, since its width fixes the counter stream.
+    used = exponents[:, np.abs(exponents).max(axis=0) > 0]
     if method == "quadrature" or (
-        method == "auto" and p == 2 and variables <= QUADRATURE_MAX_VARIABLES
+        method == "auto" and p == 2 and used.shape[1] <= QUADRATURE_MAX_VARIABLES
     ):
         policy = cfg.grid_policy
-        sizes = [policy.size_for(int(np.abs(exponents[:, j]).max())) for j in range(variables)]
+        sizes = [policy.size_for(int(top)) for top in np.abs(used).max(axis=0)]
         points = math.prod(sizes)
         if points <= policy.max_points:
-            fine = _grid_moments(evaluator, exponents, p, sizes)
-            rough = _grid_moments(evaluator, exponents, p, [max(g // 2, 1) for g in sizes])
+            fine = _grid_moments(evaluator, used, p, sizes)
+            rough = _grid_moments(evaluator, used, p, [max(g // 2, 1) for g in sizes])
             return fine.estimates(rough)[0]
         if method == "quadrature":
             raise ResourceError(

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import dirichlet_ruc
 from dirichlet_ruc import (
     ArityError,
     DomainError,
@@ -76,13 +82,102 @@ def test_index_of_growth_stops_at_sieve_budget(recorded_sieves):
 
 
 def test_primes_table_lookup():
-    table = primes_up_to(100)
+    table = primes_up_to(100)  # 97 is its largest prime, 100 = limit is composite
     assert table.is_prime(97)
     assert not table.is_prime(91)
     assert table.slot_of(2) == 0
     assert table.slot_of(11) == 4
     with pytest.raises(DomainError):
         table.slot_of(12)
+    assert table.slot_of(97) == 24
+    assert not table.is_prime(100)
+    with pytest.raises(DomainError):
+        table.slot_of(100)
+    for lookup in (table.is_prime, table.slot_of):  # 101 is prime, past the table
+        with pytest.raises(DomainError):
+            lookup(101)
+    assert table[24] == table[-1] == 97
+    assert all(type(p) is int for p in (table[0], *table))
+
+
+def test_smallest_factor_table_holds_slots():
+    table = primes_up_to(100)
+    spf = table.smallest_factor_table()
+    assert spf.dtype == "int32" and len(spf) == 101
+    for n in range(2, 101):
+        p = table[int(spf[n])]
+        assert n % p == 0 and all(n % q for q in range(2, p))
+
+
+@pytest.mark.parametrize("limit", [100, 120, 1 << 16])
+def test_roundtrip_where_the_sieve_hands_over_to_trial_division(limit):
+    # limit + 1 is 101 (prime), 121 (11^2) and 65537 (prime): the first
+    # integers past the slot sieve, factorized by trial division.
+    table = primes_up_to(limit)
+    for n in (limit, limit + 1):
+        assert index_of(factorize(n, table), table) == n
+        assert factorize(n, table) == factorize(n)
+
+
+def _record_real_sieves(monkeypatch):
+    from dirichlet_ruc import bohr
+
+    asked = []
+    real = bohr.primes_up_to
+    monkeypatch.setattr(bohr, "primes_up_to", lambda limit: asked.append(limit) or real(limit))
+    monkeypatch.setattr(bohr, "_shared_table", None)
+    return asked
+
+
+def test_factorize_composite_past_the_default_table(monkeypatch):
+    # Both factors lie past 65521, the last prime of the default 2^16 table,
+    # and far inside the sieve budget.
+    asked = _record_real_sieves(monkeypatch)
+    n = 65537 * 65539
+    alpha = factorize(n)
+    assert alpha.pairs == ((6542, 1), (6543, 1))
+    assert index_of(alpha) == n
+    assert asked == [1 << 16, 1 << 18]  # one growth step, for isqrt(n) = 65537
+
+
+def test_factorize_refuses_a_huge_prime_before_sieving(recorded_sieves):
+    from dirichlet_ruc import ResourceError
+
+    with pytest.raises(ResourceError):
+        factorize(2**61 - 1)
+    assert recorded_sieves == [1 << 16]
+
+
+def test_factorize_composite_of_primes_past_the_budget_is_refused(recorded_sieves):
+    from dirichlet_ruc import ResourceError
+    from dirichlet_ruc.bohr import SIEVE_LIMIT
+
+    # 100000007 and 100000037 are primes just past the budget: the sieve
+    # grows to the budget at most, then the leftover is refused.
+    with pytest.raises(ResourceError):
+        factorize(100_000_007 * 100_000_037)
+    assert recorded_sieves == [1 << 16, SIEVE_LIMIT]
+
+
+def test_first_lookup_on_a_large_table_adds_no_memory():
+    # The lookups search the prime array itself: no list or dict of the
+    # 664,579 primes below 10^7 is built (that cost about 56 MiB).
+    code = (
+        "import resource\n"
+        "from dirichlet_ruc import primes_up_to\n"
+        "table = primes_up_to(10**7)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "assert table.slot_of(9_999_991) == 664_578 and table.is_prime(9_999_991)\n"
+        "assert not table.is_prime(9_999_990)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    src = str(Path(dirichlet_ruc.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) <= 10 * 1024  # KiB
 
 
 def test_factorize_examples():
@@ -105,6 +200,13 @@ def test_index_of_examples():
 def test_index_of_overflow():
     with pytest.raises(OverflowLimitError):
         index_of((64,))
+    assert index_of((62,)) == 2**62
+    with pytest.raises(OverflowLimitError):
+        index_of((63,))  # 2**63 is one past MAX_INDEX
+    start = time.monotonic()
+    with pytest.raises(OverflowLimitError):
+        index_of((2**60,))  # refused before 2 is raised to that power
+    assert time.monotonic() - start < 1.0
 
 
 def test_multi_index_trims_and_validates():

@@ -198,6 +198,17 @@ def test_plot_output(tmp_path):
     assert body.startswith("<svg") and "polyline" in body
 
 
+def test_plot_without_points_writes_no_chart(tmp_path):
+    # No 8-term AP of primes fits below 50, so no row has a ratio to plot.
+    target = tmp_path / "chart.svg"
+    argv = ["experiment", "prime-ap", "--lengths", "8", "--bound", "50"]
+    _, plain, _ = run_cli(argv)
+    code, out, err = run_cli([*argv, "--plot", str(target)])
+    assert code == 0 and out == plain
+    assert not target.exists()
+    assert len(err.splitlines()) == 1 and "not written" in err
+
+
 def test_json_format_is_valid_json():
     code, out, _ = run_cli(["norm", "--input", fix("hilbert4.json"), "--format", "json"])
     assert code == 0

@@ -279,3 +279,20 @@ def test_quadrature_grid_budget_holds_at_its_boundary():
     assert (est.mode, est.samples_used) == ("mc", 400)
     with pytest.raises(ResourceError):
         hp_norm(D, 2, below, method="quadrature")
+
+
+def test_quadrature_grid_spans_only_the_variables_in_use():
+    # Frequencies 2 and 5 lift to columns 0 and 2; column 1 (the prime 3) is
+    # unused, so the grid is 16 x 16, not 16 x 16 x 16.
+    x, y = np.array([1, 0.5]), np.array([0.25, -1])
+    D = DirichletPolynomial(SupSpace(2), {2: x, 5: y})
+    est = hp_norm(D, 2, SamplerConfig(seed=5, samples=400), method="quadrature")
+    assert (est.mode, est.samples_used) == ("quadrature", 256)
+    z = np.exp(2j * np.pi * np.arange(16) / 16)
+    values = np.abs(x[:, None, None] * z[:, None] + y[:, None, None] * z[None, :]).max(axis=0)
+    assert est.value == pytest.approx(math.sqrt(np.mean(values**2)), rel=1e-12)
+    # Frequency 11 lifts to column 4: five columns, two in use, within
+    # QUADRATURE_MAX_VARIABLES, so auto takes the grid.
+    D = DirichletPolynomial(SupSpace(2), {2: x, 11: y})
+    est = hp_norm(D, 2, SamplerConfig(seed=5, samples=400))
+    assert (est.mode, est.samples_used) == ("quadrature", 256)
