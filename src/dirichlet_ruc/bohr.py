@@ -24,6 +24,10 @@ MAX_INDEX = 2**63 - 1
 # Sieving beyond this costs > ~1 GB; treat as a misuse rather than thrash.
 SIEVE_LIMIT = 100_000_000
 
+# The slot sieve stops here (16 MiB of int32), whatever the table's limit;
+# factorize trial-divides past it, which needs the primes up to sqrt(n) only.
+_SLOT_SIEVE_MAX = 1 << 22
+
 FIXED_POINT_DENOMINATOR = 2**64
 
 
@@ -144,15 +148,19 @@ class PrimeTable:
         return slot
 
     def smallest_factor_table(self) -> np.ndarray:
-        """Slot sieve for 0..limit: entry n >= 2 is the slot of n's smallest
-        prime factor, as int32 (built lazily, cached)."""
+        """Slot sieve for 0..min(limit, 2^22): entry n >= 2 is the slot of n's
+        smallest prime factor, as int32 (built lazily, cached).  factorize
+        takes larger n by trial division, so the sieve holds 16 MiB at most
+        whatever the table's limit."""
         return np.asarray(self._slot_sieve())
 
     def _slot_sieve(self) -> memoryview:
         if self._spf is None:
-            spf = np.zeros(self.limit + 1, dtype=np.int32)
-            spf[self.primes] = np.arange(len(self), dtype=np.int32)
-            root = int(np.searchsorted(self.primes, math.isqrt(self.limit), side="right"))
+            bound = min(self.limit, _SLOT_SIEVE_MAX)
+            covered = int(np.searchsorted(self.primes, bound, side="right"))
+            spf = np.zeros(bound + 1, dtype=np.int32)
+            spf[self.primes[:covered]] = np.arange(covered, dtype=np.int32)
+            root = int(np.searchsorted(self.primes, math.isqrt(bound), side="right"))
             for slot in reversed(range(root)):  # smaller primes overwrite larger ones
                 p = self._view[slot]
                 spf[p * p :: p] = slot
@@ -196,8 +204,8 @@ def factorize(n: int, table: PrimeTable | None = None) -> MultiIndex:
 
     Supports n up to 2**63 - 1 as long as every prime factor fits inside
     the sieve budget (a huge prime factor would need its slot number, i.e.
-    a sieve up to that prime).  Up to the table's limit the slot sieve
-    factors n, past it trial division does.
+    a sieve up to that prime).  Up to the table's limit, and up to 2^22,
+    the slot sieve factors n; past either, trial division does.
     """
     n = int(n)
     if n < 1:
@@ -205,7 +213,7 @@ def factorize(n: int, table: PrimeTable | None = None) -> MultiIndex:
     if n > MAX_INDEX:
         raise OverflowLimitError(f"{n} exceeds {MAX_INDEX}")
     table = table if table is not None else shared_table()
-    if n > table.limit:
+    if n > min(table.limit, _SLOT_SIEVE_MAX):
         return _factorize_trial(n, table)
     spf, primes = table._slot_sieve(), table._view
     factors: list[tuple[int, int]] = []

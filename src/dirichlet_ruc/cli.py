@@ -227,12 +227,7 @@ def _single_estimate_command(args, out, compute) -> int:
     problem, p, cfg = _load_problem(args)
     est = compute(problem, p, cfg)
     row = {"p": p, **estimate_cells("value", est), "samples": est.samples_used}
-    emit(
-        [row],
-        ["p", "value", "value_stderr", "value_quad_error", "value_mode", "samples"],
-        args.format,
-        out,
-    )
+    emit([row], list(row), args.format, out)
     return 0
 
 
@@ -241,19 +236,12 @@ def _ratio_command(args, out, orientation) -> int:
     report = orientation(problem.polynomial, p, cfg)
     row = {
         "p": p,
-        "instance": report.instance,
         **estimate_cells("numerator", report.numerator),
         **estimate_cells("denominator", report.denominator),
         **ratio_cells("ratio", report.numerator, report.denominator, report.ratio),
+        "instance": report.instance,
     }
-    columns = (
-        ["p"]
-        + list(estimate_cells("numerator", report.numerator))
-        + list(estimate_cells("denominator", report.denominator))
-        + list(ratio_cells("ratio", report.numerator, report.denominator, report.ratio))
-        + ["instance"]
-    )
-    emit([row], columns, args.format, out)
+    emit([row], list(row), args.format, out)
     return 0
 
 
@@ -272,20 +260,13 @@ def _cmd_ruc_search(args, out) -> int:
     )
     row = {
         "p": p,
-        "coefficients": coeff_text,
         **estimate_cells("numerator", report.numerator),
         **estimate_cells("denominator", report.denominator),
         **ratio_cells("best_ratio", report.numerator, report.denominator, report.ratio),
+        "coefficients": coeff_text,
         "note": "lower bound from finite search",
     }
-    columns = (
-        ["p"]
-        + list(estimate_cells("numerator", report.numerator))
-        + list(estimate_cells("denominator", report.denominator))
-        + list(ratio_cells("best_ratio", report.numerator, report.denominator, report.ratio))
-        + ["coefficients", "note"]
-    )
-    emit([row], columns, args.format, out)
+    emit([row], list(row), args.format, out)
     return 0
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -24,21 +24,18 @@ from .sampling import (
     STREAM_TORUS,
     _CHUNK_BUDGET,
     Estimate,
-    PowerMoments,
     SamplerConfig,
     character_values,
     torus_characters,
 )
 from .spaces import (
-    CombinationEvaluator,
     Element,
     HilbertSpace,
     SpaceSpec,
     as_element,
+    closed_form,
+    combination_moments,
     element_is_zero,
-    hilbert_norm,
-    is_hilbertian,
-    norm as space_norm,
     scale_element,
     zero_element,
 )
@@ -144,37 +141,21 @@ def _exponent_rows(ns: list[int]) -> np.ndarray:
     return exps
 
 
-def _grid_fractions(sizes: Sequence[int]) -> np.ndarray:
-    """All tensor-grid angles as 64-bit fixed-point numerators."""
-    axes = [np.arange(g, dtype=np.uint64) * np.uint64(2**64 // g) for g in sizes]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([m.reshape(-1) for m in mesh])
+def _grid_columns(exponents: np.ndarray, sizes: Sequence[int]):
+    """draw(lo, n) giving the multipliers z^E[t] at points [lo, lo + n) of the
+    tensor grid of `sizes` (C order, the last variable fastest) as columns,
+    one block of points at a time."""
+    steps = [np.uint64(2**64 // g) for g in sizes]  # grid angles in 64-bit fixed point
 
+    def draw(lo: int, n: int) -> np.ndarray:
+        index = np.arange(lo, lo + n, dtype=np.uint64)
+        fractions = np.empty((n, len(sizes)), dtype=np.uint64)
+        for j in reversed(range(len(sizes))):
+            fractions[:, j] = index % np.uint64(sizes[j]) * steps[j]
+            index //= np.uint64(sizes[j])
+        return character_values(exponents, fractions).T
 
-def _norm_moments(
-    evaluator: CombinationEvaluator,
-    rows: Callable[[int, int], np.ndarray],
-    total: int,
-    p: float,
-    mc: bool = False,
-) -> PowerMoments:
-    """Power sums of the norms of the combinations weighted by rows(lo, count)
-    of a (total, terms) multiplier panel, a block of rows at a time."""
-    width = max(evaluator.grid_points, len(evaluator.xs))
-    chunk = max(1, _CHUNK_BUDGET // width)
-    moments = PowerMoments([p], mc)
-    for lo in range(0, total, chunk):
-        moments.add(evaluator.norms(rows(lo, min(chunk, total - lo)).T))
-    return moments
-
-
-def _grid_moments(
-    evaluator: CombinationEvaluator, exponents: np.ndarray, p: float, sizes: Sequence[int]
-) -> PowerMoments:
-    multipliers = character_values(exponents, _grid_fractions(sizes))
-    return _norm_moments(
-        evaluator, lambda lo, count: multipliers[lo : lo + count], len(multipliers), p
-    )
+    return draw
 
 
 def _polytorus_norm(
@@ -186,10 +167,6 @@ def _polytorus_norm(
     method: str,
 ) -> Estimate:
     """Shared engine for H_p and circle norms of sum x_n * z^{E[n]}."""
-    evaluator = CombinationEvaluator(space, xs)
-    if exponents.shape[1] == 0:
-        value = float(evaluator.norms(np.ones((len(xs), 1)))[0])
-        return Estimate(value=value, mode=MODE_EXACT)
     # The grid spans only the variables some term uses; the Monte Carlo
     # panel keeps every column, since its width fixes the counter stream.
     used = exponents[:, np.abs(exponents).max(axis=0) > 0]
@@ -200,41 +177,46 @@ def _polytorus_norm(
         sizes = [policy.size_for(int(top)) for top in np.abs(used).max(axis=0)]
         points = math.prod(sizes)
         if points <= policy.max_points:
-            fine = _grid_moments(evaluator, used, p, sizes)
-            rough = _grid_moments(evaluator, used, p, [max(g // 2, 1) for g in sizes])
-            return fine.estimates(rough)[0]
+            fine, rough = (
+                combination_moments(space, xs, _grid_columns(used, grid), math.prod(grid), [p])[0]
+                for grid in (sizes, [max(g // 2, 1) for g in sizes])
+            )
+            return Estimate(  # the outer grid's gap, plus a function space's inner one
+                value=fine.value,
+                samples_used=fine.samples_used,
+                mode=MODE_QUADRATURE,
+                quad_error=abs(fine.value - rough.value) + fine.quad_error,
+            )
         if method == "quadrature":
             raise ResourceError(
                 f"quadrature grid of {points} points exceeds {policy.max_points}"
             )
     samples = cfg.samples
 
-    def rows(lo: int, count: int) -> np.ndarray:
-        return torus_characters(exponents, cfg.seed, STREAM_TORUS, samples, lo, count)
+    def draw(lo: int, count: int) -> np.ndarray:
+        return torus_characters(exponents, cfg.seed, STREAM_TORUS, samples, lo, count).T
 
-    return _norm_moments(evaluator, rows, samples, p, mc=True).estimates()[0]
+    return combination_moments(space, xs, draw, samples, [p], mc=True)[0]
 
 
-def _closed_form(space: SpaceSpec, xs: list[Element], p: float, method: str) -> Estimate | None:
-    """Check p and method, then give the norm of sum x_n z^{alpha_n} (the x_n
-    nonzero, the alpha_n distinct) where a closed form holds: no terms, one
-    term (|z^alpha| = 1), or Parseval at p = 2 in a hilbertian space.  None
-    means a polytorus route has to run."""
+def _closed_form(
+    space: SpaceSpec, xs: list[Element], exponents: np.ndarray, p: float, method: str
+) -> Estimate | None:
+    """Check p and method, then give the norm of sum x_n z^{E[n]} (the x_n
+    nonzero, the rows of E distinct) where spaces.closed_form holds and the
+    method allows it: for "auto" and "exact", and for every method when no
+    variable is left to average over (no terms, or the single term n = 1).
+    None means a polytorus route has to run."""
     if p < 1:
         raise DomainError("p must be >= 1")
     if method not in ("auto", "exact", "quadrature", "mc"):
         raise DomainError(f"unknown method {method!r}")
-    if not xs:
-        return Estimate(value=0.0, mode=MODE_EXACT)
-    if method in ("auto", "exact"):
-        if len(xs) == 1:
-            return space_norm(space, xs[0])
-        if p == 2 and is_hilbertian(space):
-            value = math.sqrt(sum(hilbert_norm(space, x) ** 2 for x in xs))
-            return Estimate(value=value, mode=MODE_EXACT)
-    if method == "exact":
+    closed = None
+    if method in ("auto", "exact") or not exponents.any():
+        closed = closed_form(space, xs, p)
+    if closed is None and method == "exact":
         raise DomainError("no exact mode for this space/p combination")
-    return None
+    return closed
 
 
 def hp_norm(
@@ -249,7 +231,7 @@ def hp_norm(
     default "auto" follows the selection rules.
     """
     xs, exps, _ = lift_arrays(D)
-    closed = _closed_form(D.space, xs, p, method)
+    closed = _closed_form(D.space, xs, exps, p, method)
     if closed is not None:
         return closed
     cfg = cfg if cfg is not None else SamplerConfig()
@@ -266,11 +248,11 @@ def circle_hp_norm(
     """Single-circle norm (integral over z of || sum_n x_n z^n ||^p)^(1/p)."""
     elements = [as_element(space, x) for x in xs]
     kept = [(i + 1, x) for i, x in enumerate(elements) if not element_is_zero(x)]
-    closed = _closed_form(space, [x for _, x in kept], p, method)
+    exps = np.array([[n] for n, _ in kept], dtype=np.int64)
+    closed = _closed_form(space, [x for _, x in kept], exps, p, method)
     if closed is not None:
         return closed
     cfg = cfg if cfg is not None else SamplerConfig()
-    exps = np.array([[n] for n, _ in kept], dtype=np.int64)
     if method == "auto":
         # One circle variable: trapezoid on a grid past twice the top degree
         # beats sampling whenever it fits the budget.

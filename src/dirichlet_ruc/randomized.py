@@ -16,19 +16,16 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .dirichlet import DirichletPolynomial, hp_norm, lift_arrays
+from .dirichlet import DirichletPolynomial, lift_arrays
 from .errors import DomainError, UndefinedRatioError
 from .sampling import (
-    MODE_EXACT,
     MODE_MC,
     STREAM_GAUSSIAN,
     STREAM_OUTER_SIGNS,
     STREAM_SIGNS,
     STREAM_STEINHAUS,
     STREAM_TORUS,
-    _CHUNK_BUDGET,
     Estimate,
-    PowerMoments,
     SamplerConfig,
     block_stderr,
     combined_stderr,
@@ -38,20 +35,19 @@ from .sampling import (
     torus_characters,
 )
 from .spaces import (
+    _PATTERN_CHUNK,
     CombinationEvaluator,
     Element,
     SpaceSpec,
+    _mirrored,
     as_element,
+    closed_form,
+    combination_moments,
     coordinate_norms,
     coordinate_norms_of_rows,
     element_is_zero,
-    hilbert_norm,
     is_coordinate,
-    is_hilbertian,
-    norm as space_norm,
 )
-
-_PATTERN_CHUNK = 1 << 13
 
 
 def _family(space: SpaceSpec, xs: Sequence) -> list[Element]:
@@ -67,62 +63,25 @@ def _sign_patterns(m: int, lo: int, hi: int) -> np.ndarray:
     return np.where(bits == 1, 1.0, -1.0)
 
 
-def _halved(m: int) -> bool:
-    """Whether exact enumeration evaluates only patterns [0, 2^(m-1)) and
-    mirrors the rest in.  m = 2 evaluates all 4: gemm rounds a 2-column
-    product unlike its 4-column tiles when the products are inexact."""
-    return m > 2
+def _sign_rule(
+    m: int, cfg: SamplerConfig, samples: int, stream: int
+) -> tuple[Callable[[int, int], np.ndarray], int, bool, bool]:
+    """(draw, count, exact, mirrored) for an average over m signs: all 2^m
+    patterns up to exact_cutoff, else `samples` draws from `stream`;
+    draw(lo, n) gives columns [lo, lo + n) of the first `count`.  When
+    mirrored, only patterns [0, 2^(m-1)) are evaluated and their negations
+    mirrored in; m = 2 evaluates all 4, since gemm rounds a 2-column product
+    unlike its 4-column tiles when the products are inexact."""
+    exact = m <= cfg.exact_cutoff
+    mirrored = exact and m > 2
+    count = 1 << (m - mirrored) if exact else samples
 
+    def draw(lo: int, n: int) -> np.ndarray:
+        if exact:
+            return _sign_patterns(m, lo, lo + n)
+        return sign_samples(cfg.seed, stream, n, m, start=lo).T
 
-def _mirrored(values: np.ndarray) -> np.ndarray:
-    """Values over sign patterns [0, 2h), given those over [0, h) on the last
-    axis, where 2h = 2^m: pattern 2^m - 1 - i negates pattern i, and
-    ||-v|| = ||v|| bit for bit, so the second half is the first reversed."""
-    return np.concatenate([values, values[..., ::-1]], axis=-1)
-
-
-def _multiplier_moments(
-    space: SpaceSpec,
-    xs: Sequence[Element],
-    draw: Callable[[int, int], np.ndarray],
-    count: int,
-    powers: Sequence[float],
-    mc: bool,
-    mirrored: bool = False,
-) -> list[Estimate]:
-    """Estimates of (E g^q)^(1/q) for each q, sharing one pass over the
-    multiplier columns draw(lo, n), lo in [0, count), a chunk at a time.
-
-    Chunks hold _PATTERN_CHUNK columns in a coordinate space, and
-    _CHUNK_BUDGET grid values in a function space.  With `mirrored` the
-    columns are sign patterns [0, count) of 2 * count: sums still run over
-    chunks of all the patterns in pattern order, so a single chunk is
-    extended by its reverse, and with several chunks the reverse of chunk c
-    is chunk C - 1 - c, whose sums are added after the evaluated ones.
-    """
-    evaluators = [CombinationEvaluator(space, xs)]
-    moments = [PowerMoments(powers, mc)]
-    chunk = _PATTERN_CHUNK
-    if not is_coordinate(space):  # the half grid gives the quadrature error
-        evaluators.append(CombinationEvaluator(space, xs, grid_scale=0.5))
-        moments.append(PowerMoments(powers))
-        chunk = max(1, _CHUNK_BUDGET // evaluators[0].grid_points)
-    several = mirrored and 2 * count > chunk  # all the patterns span several chunks
-    late = []  # (moments, reversed chunk's moments) of the mirrored chunks
-    for lo in range(0, count, chunk):
-        block = draw(lo, min(chunk, count - lo))
-        for evaluator, acc in zip(evaluators, moments):
-            g = evaluator.norms(block)
-            if several:
-                tail = PowerMoments(powers)
-                tail.add(g[::-1].copy())  # a strided power may round unlike a contiguous one
-                late.append((acc, tail))
-            elif mirrored:
-                g = _mirrored(g)
-            acc.add(g)
-    for acc, tail in reversed(late):
-        acc.merge(tail)
-    return moments[0].estimates(moments[1] if len(moments) > 1 else None)
+    return draw, count, exact, mirrored
 
 
 def _sign_moments(
@@ -132,20 +91,13 @@ def _sign_moments(
     powers: Sequence[float],
     cfg: SamplerConfig,
 ) -> list[Estimate]:
-    m = len(xs)
-    exact = m <= cfg.exact_cutoff
-    mirrored = exact and _halved(m)
-    count = (1 << (m - 1) if mirrored else 1 << m) if exact else cfg.samples
+    signs, count, exact, mirrored = _sign_rule(len(xs), cfg, cfg.samples, STREAM_SIGNS)
     scale_col = None if scale is None else np.asarray(scale, dtype=np.complex128)[:, None]
 
     def draw(lo: int, n: int) -> np.ndarray:
-        if exact:
-            signs = _sign_patterns(m, lo, lo + n)
-        else:
-            signs = sign_samples(cfg.seed, STREAM_SIGNS, n, m, start=lo).T
-        return signs if scale_col is None else signs * scale_col
+        return signs(lo, n) if scale_col is None else signs(lo, n) * scale_col
 
-    return _multiplier_moments(space, xs, draw, count, powers, not exact, mirrored)
+    return combination_moments(space, xs, draw, count, powers, not exact, mirrored)
 
 
 def rademacher_average(
@@ -156,13 +108,9 @@ def rademacher_average(
         raise DomainError("q must be >= 1")
     cfg = cfg if cfg is not None else SamplerConfig()
     elements = _family(space, xs)
-    if all(element_is_zero(x) for x in elements):
-        return Estimate(value=0.0, mode=MODE_EXACT)
-    if len(elements) == 1:
-        return space_norm(space, elements[0])
-    if q == 2 and is_hilbertian(space):
-        value = math.sqrt(sum(hilbert_norm(space, x) ** 2 for x in elements))
-        return Estimate(value=value, mode=MODE_EXACT)
+    closed = closed_form(space, elements, q)
+    if closed is not None:
+        return closed
     return _sign_moments(space, elements, None, [q], cfg)[0]
 
 
@@ -175,19 +123,15 @@ def steinhaus_average(
         raise DomainError("q must be >= 1")
     cfg = cfg if cfg is not None else SamplerConfig()
     elements = _family(space, xs)
-    if all(element_is_zero(x) for x in elements):
-        return Estimate(value=0.0, mode=MODE_EXACT)
-    if len(elements) == 1:
-        return space_norm(space, elements[0])
-    if q == 2 and is_hilbertian(space):
-        value = math.sqrt(sum(hilbert_norm(space, x) ** 2 for x in elements))
-        return Estimate(value=value, mode=MODE_EXACT)
+    closed = closed_form(space, elements, q)
+    if closed is not None:
+        return closed
     m = len(elements)
 
     def draw(lo: int, n: int) -> np.ndarray:
         return steinhaus_samples(cfg.seed, STREAM_STEINHAUS, n, m, start=lo).T
 
-    return _multiplier_moments(space, elements, draw, cfg.samples, [q], mc=True)[0]
+    return combination_moments(space, elements, draw, cfg.samples, [q], mc=True)[0]
 
 
 def _gaussian_abs_moment(q: float, variant: str) -> float:
@@ -212,19 +156,15 @@ def gaussian_average(
         raise DomainError(f"unknown gaussian variant {variant!r}")
     cfg = cfg if cfg is not None else SamplerConfig()
     elements = _family(space, xs)
-    if all(element_is_zero(x) for x in elements):
-        return Estimate(value=0.0, mode=MODE_EXACT)
-    if q == 2 and is_hilbertian(space):
-        value = math.sqrt(sum(hilbert_norm(space, x) ** 2 for x in elements))
-        return Estimate(value=value, mode=MODE_EXACT)
-    if len(elements) == 1:
-        return space_norm(space, elements[0]).scaled(_gaussian_abs_moment(q, variant))
+    closed = closed_form(space, elements, q)
+    if closed is not None:  # one element: |g| is not 1, only E |g|^2 is
+        return closed.scaled(_gaussian_abs_moment(q, variant)) if len(elements) == 1 else closed
     m = len(elements)
 
     def draw(lo: int, n: int) -> np.ndarray:
         return gaussian_samples(cfg.seed, STREAM_GAUSSIAN, n, m, variant, start=lo).T
 
-    return _multiplier_moments(space, elements, draw, cfg.samples, [q], mc=True)[0]
+    return combination_moments(space, elements, draw, cfg.samples, [q], mc=True)[0]
 
 
 def rad_norm(xs: Sequence, space: SpaceSpec, cfg: SamplerConfig | None = None) -> Estimate:
@@ -257,19 +197,16 @@ def hprad_norm(
         raise DomainError("p must be >= 1")
     cfg = cfg if cfg is not None else SamplerConfig()
     xs, exps, _ = lift_arrays(D)
-    m = len(xs)
-    if m == 0:
-        return Estimate(value=0.0, mode=MODE_EXACT)
-    if m == 1 or (p == 2 and is_hilbertian(D.space)):
-        return hp_norm(D, p, cfg)
+    closed = closed_form(D.space, xs, p)
+    if closed is not None:
+        return closed
 
-    exact_outer = m <= cfg.exact_cutoff
-    patterns = 1 << m if exact_outer else min(4096, cfg.samples)
-    if exact_outer:  # the negated half is mirrored in below
-        signs = _sign_patterns(m, 0, patterns // 2 if _halved(m) else patterns)
-    else:
-        signs = sign_samples(cfg.seed, STREAM_OUTER_SIGNS, patterns, m).T
-    signs = np.ascontiguousarray(signs, dtype=np.complex128)  # F order would switch BLAS rounding
+    m = len(xs)
+    draw, evaluated, exact_outer, mirrored = _sign_rule(
+        m, cfg, min(4096, cfg.samples), STREAM_OUTER_SIGNS
+    )
+    patterns = evaluated << mirrored  # the negated half is mirrored in below
+    signs = np.ascontiguousarray(draw(0, evaluated), dtype=np.complex128)  # F order would switch BLAS rounding
 
     samples = cfg.samples
     evaluator = CombinationEvaluator(D.space, xs)
@@ -285,8 +222,7 @@ def hprad_norm(
         # costs a page fault per 4 KiB written
         buffer = np.empty((min(z_chunk, samples), signs.shape[1]), dtype=np.complex128)
     else:
-        grid = evaluator.matrix  # (grid_points, m)
-        z_chunk = max(1, (1 << 22) // max(grid.shape[0] * patterns, 1))
+        z_chunk = max(1, (1 << 22) // max(evaluator.grid_points * patterns, 1))
 
     power_sums = np.zeros((blocks, signs.shape[1]))
     for lo in range(0, samples, z_chunk):
@@ -299,16 +235,14 @@ def hprad_norm(
             else:  # numpy would call gemv, which rounds unlike gemm: per-sample gemms
                 combos = np.moveaxis((mult[:, None, :] * matrix[None, :, :]) @ signs, 1, 0)
                 g = coordinate_norms(D.space, combos.reshape(d, -1))  # (count * patterns,)
-        else:
-            coeff = mult[:, :, None] * signs[None, :, :]  # (count, m, patterns)
-            values = np.tensordot(grid, coeff, axes=([1], [1]))  # (grid, count, patterns)
-            g = (np.abs(values) ** D.space.r).mean(axis=0) ** (1.0 / D.space.r)
+        else:  # every (sample, pattern) coefficient column, sample-major
+            g = evaluator.norms((mult.T[:, :, None] * signs[:, None, :]).reshape(m, -1))
         gp = (g**p).reshape(count, -1)
         for b in range(blocks):
             rows = slice(max(bounds[b], lo) - lo, min(bounds[b + 1], lo + count) - lo)
             if rows.start < rows.stop:
                 power_sums[b] += gp[rows].sum(axis=0)
-    if exact_outer and _halved(m):
+    if mirrored:
         power_sums = _mirrored(power_sums)
 
     total_means = power_sums.sum(axis=0) / samples  # per-pattern E_z g^p

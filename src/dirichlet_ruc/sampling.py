@@ -140,25 +140,14 @@ def uniform_bits(
 
     Word (i, j) hashes counter (start + i) * width + j.  With `columns`, only
     those columns are drawn: a (count, len(columns)) array whose every word
-    equals the matching word of the full draw.
+    equals the matching word of the full draw.  A word doubles as a uniform
+    torus angle in 64-bit fixed point (turns * 2**64).
     """
     cols = np.arange(width, dtype=np.uint64) if columns is None else np.asarray(columns, np.uint64)
     rows = np.arange(start, start + count, dtype=np.uint64)
     counters = rows[:, None] * _U64(width) + cols[None, :]
     with np.errstate(over="ignore"):
         return _mix64(_stream_key(seed, stream) + counters * _U64(_GOLDEN))
-
-
-def torus_fractions(
-    seed: int,
-    stream: int,
-    count: int,
-    width: int,
-    start: int = 0,
-    columns: np.ndarray | None = None,
-) -> np.ndarray:
-    """Uniform torus angles as 64-bit fixed-point numerators (turns * 2**64)."""
-    return uniform_bits(seed, stream, count, width, start, columns)
 
 
 def sign_samples(seed: int, stream: int, count: int, width: int, start: int = 0) -> np.ndarray:
@@ -193,7 +182,7 @@ def fixed_point_to_complex(numerators: np.ndarray) -> np.ndarray:
 
 
 def steinhaus_samples(seed: int, stream: int, count: int, width: int, start: int = 0) -> np.ndarray:
-    return fixed_point_to_complex(torus_fractions(seed, stream, count, width, start))
+    return fixed_point_to_complex(uniform_bits(seed, stream, count, width, start))
 
 
 def character_values(exponents: np.ndarray, fractions: np.ndarray) -> np.ndarray:
@@ -241,7 +230,7 @@ def torus_characters(
 
     def draw(lo: int, rows: int) -> np.ndarray:
         used = np.flatnonzero(exponents.any(axis=0))
-        fractions = torus_fractions(seed, stream, rows, exponents.shape[1], lo, columns=used)
+        fractions = uniform_bits(seed, stream, rows, exponents.shape[1], lo, columns=used)
         return character_values(exponents[:, used], fractions)
 
     memo = _PANELS.get()

@@ -5,6 +5,9 @@ on a k-torus are represented by trigonometric polynomials and integrated on
 per-variable uniform grids of size max(8 * max|exponent|, 64) (rounded up
 to a power of two), with a half-grid comparison as the reported error; for
 r = 2 the grid rule makes the quadrature exact (Parseval).
+
+Every average of norm powers over a panel of multipliers runs through
+combination_moments; closed_form gives the averages that need none.
 """
 
 from __future__ import annotations
@@ -12,17 +15,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
 from .bohr import TorusPoint
 from .errors import ArityError, DomainError, ResourceError, ShapeError
-from .sampling import MODE_EXACT, MODE_QUADRATURE, Estimate
+from .sampling import MODE_EXACT, MODE_QUADRATURE, _CHUNK_BUDGET, Estimate, PowerMoments
 
 FUNCTION_GRID_FACTOR = 8
 FUNCTION_GRID_MIN = 64
 FUNCTION_GRID_MAX_POINTS = 1 << 22
+
+_PATTERN_CHUNK = 1 << 13  # multiplier columns per block in a coordinate space
 
 
 @dataclass(frozen=True)
@@ -153,10 +158,6 @@ Element = Union[np.ndarray, TrigPolynomial]
 
 def is_coordinate(space: SpaceSpec) -> bool:
     return isinstance(space, (SequenceSpace, HilbertSpace, SupSpace))
-
-
-def dimension(space: SpaceSpec) -> int:
-    return space.d if is_coordinate(space) else space.k
 
 
 def is_hilbertian(space: SpaceSpec) -> bool:
@@ -341,6 +342,59 @@ class CombinationEvaluator:
         return (mags**r).mean(axis=0) ** (1.0 / r)
 
 
+def _mirrored(values: np.ndarray) -> np.ndarray:
+    """Values over sign patterns [0, 2h), given those over [0, h) on the last
+    axis, where 2h = 2^m: pattern 2^m - 1 - i negates pattern i, and
+    ||-v|| = ||v|| bit for bit, so the second half is the first reversed."""
+    return np.concatenate([values, values[..., ::-1]], axis=-1)
+
+
+def combination_moments(
+    space: SpaceSpec,
+    xs: Sequence[Element],
+    draw: Callable[[int, int], np.ndarray],
+    count: int,
+    powers: Sequence[float],
+    mc: bool = False,
+    mirrored: bool = False,
+) -> list[Estimate]:
+    """Estimates of (E g^q)^(1/q) for each q, g the norm of sum_n c_n x_n,
+    sharing one pass over the multiplier columns c = draw(lo, n), lo in
+    [0, count), a chunk at a time.
+
+    Chunks hold _PATTERN_CHUNK columns in a coordinate space, and
+    _CHUNK_BUDGET grid values in a function space, where the same columns on
+    the half grid give the quadrature error.  With `mirrored` the columns
+    are sign patterns [0, count) of 2 * count: sums still run over chunks of
+    all the patterns in pattern order, so a single chunk is extended by its
+    reverse, and with several chunks the reverse of chunk c is chunk
+    C - 1 - c, whose sums are added after the evaluated ones.
+    """
+    evaluators = [CombinationEvaluator(space, xs)]
+    moments = [PowerMoments(powers, mc)]
+    chunk = _PATTERN_CHUNK
+    if not is_coordinate(space):
+        evaluators.append(CombinationEvaluator(space, xs, grid_scale=0.5))
+        moments.append(PowerMoments(powers))
+        chunk = max(1, _CHUNK_BUDGET // evaluators[0].grid_points)
+    several = mirrored and 2 * count > chunk  # all the patterns span several chunks
+    late = []  # (moments, reversed chunk's moments) of the mirrored chunks
+    for lo in range(0, count, chunk):
+        block = draw(lo, min(chunk, count - lo))
+        for evaluator, acc in zip(evaluators, moments):
+            g = evaluator.norms(block)
+            if several:
+                tail = PowerMoments(powers)
+                tail.add(g[::-1].copy())  # a strided power may round unlike a contiguous one
+                late.append((acc, tail))
+            elif mirrored:
+                g = _mirrored(g)
+            acc.add(g)
+    for acc, tail in reversed(late):
+        acc.merge(tail)
+    return moments[0].estimates(moments[1] if len(moments) > 1 else None)
+
+
 def norm(space: SpaceSpec, x) -> Estimate:
     """Norm oracle; exact for coordinate spaces, quadrature for L_r models."""
     x = as_element(space, x)
@@ -360,6 +414,22 @@ def norm(space: SpaceSpec, x) -> Estimate:
         quad_error=abs(value - rough),
         samples_used=full.grid_points,
     )
+
+
+def closed_form(space: SpaceSpec, xs: Sequence[Element], q: float) -> Estimate | None:
+    """(E ||sum_n c_n x_n||^q)^(1/q) where it has a closed form: 0 when every
+    x_n is zero, ||x_1|| for a single element (|c_1| = 1: a sign, a rotation,
+    a character), and Parseval at q = 2 in a hilbertian space (orthonormal
+    c_n: independent with mean 0 and E |c_n|^2 = 1, or distinct characters).
+    None means an average has to run."""
+    if all(element_is_zero(x) for x in xs):
+        return Estimate(value=0.0, mode=MODE_EXACT)
+    if len(xs) == 1:
+        return norm(space, xs[0])
+    if q == 2 and is_hilbertian(space):
+        value = math.sqrt(sum(hilbert_norm(space, x) ** 2 for x in xs))
+        return Estimate(value=value, mode=MODE_EXACT)
+    return None
 
 
 def summing_combination(a: Sequence[complex]) -> tuple[np.ndarray, float]:

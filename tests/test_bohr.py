@@ -180,6 +180,39 @@ def test_first_lookup_on_a_large_table_adds_no_memory():
     assert int(done.stdout) <= 10 * 1024  # KiB
 
 
+def test_slot_sieve_on_a_large_shared_table_stays_within_its_cap():
+    # With the shared table grown to 2^24, factorize(12) used to build the
+    # slot sieve over the whole table: 64 MiB of int32.  It stops at 2^22.
+    code = (
+        "import resource\n"
+        "from dirichlet_ruc import bohr, factorize\n"
+        "table = bohr.shared_table(1 << 24)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "assert factorize(12) == (2, 1)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+        "assert len(table.smallest_factor_table()) == (1 << 22) + 1\n"
+    )
+    src = str(Path(dirichlet_ruc.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) <= 16 * 1024  # KiB; the uncapped sieve added about 36 MiB
+
+
+def test_roundtrip_between_the_slot_sieve_cap_and_the_table_limit():
+    from dirichlet_ruc.bohr import _SLOT_SIEVE_MAX
+
+    # Past 2^22 a table up to 2^23 factorizes by trial division: 2^22 + 1
+    # (5 * 397 * 2113), twice the prime 4194301, and the prime 8388593.
+    table = primes_up_to(1 << 23)
+    for n in (_SLOT_SIEVE_MAX, _SLOT_SIEVE_MAX + 1, 2 * 4_194_301, 8_388_593, 1 << 23):
+        assert index_of(factorize(n, table), table) == n
+    assert factorize(8_388_593, table).pairs == ((len(table) - 1, 1),)
+    assert len(table.smallest_factor_table()) == _SLOT_SIEVE_MAX + 1
+
+
 def test_factorize_examples():
     assert factorize(12) == (2, 1)
     assert factorize(1) == ()

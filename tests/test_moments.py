@@ -16,15 +16,17 @@ from dirichlet_ruc import (
     SequenceSpace,
     SupSpace,
     TrigPolynomial,
+    circle_hp_norm,
     constants,
-    dirichlet,
     experiment_summing_basis,
     gaussian_average,
     hp_norm,
+    hprad_norm,
     rad_norm,
     rademacher_average,
     randomized,
     scalar_polynomial,
+    spaces,
     steinhaus_average,
 )
 from dirichlet_ruc.dirichlet import lift_arrays
@@ -40,7 +42,8 @@ from dirichlet_ruc.sampling import (
     steinhaus_samples,
     torus_characters,
 )
-from dirichlet_ruc.spaces import CombinationEvaluator
+from dirichlet_ruc.randomized import _gaussian_abs_moment
+from dirichlet_ruc.spaces import CombinationEvaluator, closed_form, norm as space_norm
 
 SAMPLES = 3000
 
@@ -191,9 +194,8 @@ def _every_average():
 
 def test_shrinking_the_chunks_leaves_every_estimate_in_place(monkeypatch):
     before = _every_average()
-    monkeypatch.setattr(dirichlet, "_CHUNK_BUDGET", 64)
-    monkeypatch.setattr(randomized, "_CHUNK_BUDGET", 1 << 9)
-    monkeypatch.setattr(randomized, "_PATTERN_CHUNK", 8)
+    monkeypatch.setattr(spaces, "_CHUNK_BUDGET", 1 << 9)
+    monkeypatch.setattr(spaces, "_PATTERN_CHUNK", 8)
     monkeypatch.setattr(constants, "_CHUNK_BUDGET", 0)
     after = _every_average()
     for name, est in before.items():
@@ -220,7 +222,7 @@ def test_function_space_sign_average_memory_is_bounded_by_the_chunk_budget():
     finally:
         tracemalloc.stop()
     assert (est.mode, est.samples_used) == ("quadrature", 1 << 11)
-    assert peak < 40 * randomized._CHUNK_BUDGET  # 80 MiB: 32 bytes per grid value, plus slack
+    assert peak < 40 * spaces._CHUNK_BUDGET  # 80 MiB: 32 bytes per grid value, plus slack
 
 
 def test_function_space_chunks_hold_chunk_budget_grid_values(monkeypatch):
@@ -243,3 +245,76 @@ def test_function_space_chunks_hold_chunk_budget_grid_values(monkeypatch):
     evaluated.clear()
     rad_norm(_vectors(rng, 2, 15), HilbertSpace(2), SamplerConfig())
     assert evaluated == [(0, 8192), (8192, 16384)]  # coordinate spaces: _PATTERN_CHUNK
+
+
+CLOSED_FORMS = {
+    "all zero": (SupSpace(2), [np.zeros(2), np.zeros(2)], 3.0),
+    "one element": (SequenceSpace(3.0, 2), [np.array([1.0, 2j])], 1.5),
+    "one element FunctionLr": (
+        FunctionLr(1.0, 1), [TrigPolynomial({(1,): 1.0, (-2,): 0.5j}, 1)], 1.0
+    ),
+    "q = 2 Hilbert": (
+        HilbertSpace(2), [np.array([1.0, 2j]), np.array([-1.0, 0.5]), np.array([0.25, 0])], 2.0
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CLOSED_FORMS)
+def test_every_average_returns_the_one_closed_form(name):
+    space, xs, q = CLOSED_FORMS[name]
+    expected = closed_form(space, xs, q)
+    if name == "all zero":
+        assert expected == Estimate(value=0.0)
+    elif name.startswith("one element"):
+        assert expected == space_norm(space, xs[0])
+    else:
+        assert expected.mode == "exact"
+        assert expected.value == pytest.approx(math.sqrt(5 + 1.25 + 0.0625), rel=1e-15)
+    cfg = SamplerConfig(seed=3, samples=200)
+    D = DirichletPolynomial(space, {n + 2: x for n, x in enumerate(xs)})
+    assert hp_norm(D, q, cfg) == expected
+    assert circle_hp_norm(xs, space, q, cfg) == expected
+    assert hprad_norm(D, q, cfg) == expected
+    assert rademacher_average(xs, space, q, cfg) == expected
+    assert steinhaus_average(xs, space, q, cfg) == expected
+    for variant in ("complex", "real"):  # one Gaussian multiplier scales the norm
+        factor = _gaussian_abs_moment(q, variant) if len(xs) == 1 else 1.0
+        assert gaussian_average(xs, space, q, cfg, variant) == expected.scaled(factor)
+
+
+def test_closed_form_is_none_where_an_average_has_to_run():
+    xs = [np.array([1.0, 2j]), np.array([-1.0, 0.5])]
+    assert closed_form(SupSpace(2), xs, 2.0) is None
+    assert closed_form(HilbertSpace(2), xs, 1.0) is None
+
+
+def test_function_space_hp_norm_mc_reports_its_half_grid_gap():
+    rng = np.random.default_rng(47)
+    space = FunctionLr(1.5, 1)
+    D = DirichletPolynomial(space, dict(zip([2, 3, 5], _trig_family(rng, 3))))
+    cfg = SamplerConfig(seed=5, samples=SAMPLES)
+    est = hp_norm(D, 1.0, cfg, method="mc")
+    xs, exps, _ = lift_arrays(D)
+    columns = torus_characters(exps, cfg.seed, STREAM_TORUS, SAMPLES, 0, SAMPLES).T
+    value, stderr = _delta_method(CombinationEvaluator(space, xs).norms(columns), 1.0)
+    rough = _delta_method(CombinationEvaluator(space, xs, grid_scale=0.5).norms(columns), 1.0)[0]
+    assert (est.mode, est.samples_used) == ("mc", SAMPLES)
+    assert est.value == pytest.approx(value, rel=1e-12)
+    assert est.stderr == pytest.approx(stderr, rel=1e-12)
+    assert est.quad_error == pytest.approx(abs(value - rough), rel=1e-9) and est.quad_error > 0
+
+
+def test_quadrature_grid_is_drawn_a_chunk_at_a_time():
+    # 32 * 32 * 16 * 16 = 2^18 grid points over the primes 2, 3, 5, 7: the
+    # whole grid's angles and multipliers at once took 76 MiB.
+    rng = np.random.default_rng(46)
+    ns = [256, 243, 5, 7, 35]
+    D = DirichletPolynomial(SupSpace(2), dict(zip(ns, _vectors(rng, 2, len(ns)))))
+    tracemalloc.start()
+    try:
+        est = hp_norm(D, 1.0, SamplerConfig(), method="quadrature")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (est.mode, est.samples_used) == ("quadrature", 1 << 18)
+    assert peak < 8 * 2**20

@@ -23,6 +23,7 @@ from dirichlet_ruc import (
     rademacher_average,
     randomized,
     scalar_polynomial,
+    spaces,
     steinhaus_average,
 )
 from dirichlet_ruc.dirichlet import lift_arrays
@@ -33,7 +34,6 @@ from dirichlet_ruc.sampling import (
     character_values,
     combined_stderr,
     sign_samples,
-    torus_fractions,
     uniform_bits,
 )
 from dirichlet_ruc.spaces import CombinationEvaluator, coordinate_norms, is_coordinate
@@ -156,7 +156,7 @@ def _hprad_full_enumeration(D, p, cfg):
     counts = np.zeros(blocks, dtype=np.int64)
     for lo in range(0, samples, z_chunk):
         count = min(z_chunk, samples - lo)
-        fractions = torus_fractions(cfg.seed, STREAM_TORUS, count, exps.shape[1], start=lo)
+        fractions = uniform_bits(cfg.seed, STREAM_TORUS, count, exps.shape[1], start=lo)
         mult = character_values(exps, fractions)
         if coordinate:
             combos = (mult[:, None, :] * matrix[None, :, :]) @ signs
@@ -329,13 +329,13 @@ def test_function_space_sign_averages_match_full_enumeration_bitwise(space):
 )
 def test_sign_averages_mirror_many_small_chunks_bitwise(space, monkeypatch):
     # Chunks of 8 patterns: m = 4..8 mirror 1 to 16 chunks past the evaluated half.
-    monkeypatch.setattr(randomized, "_PATTERN_CHUNK", 8)
+    monkeypatch.setattr(spaces, "_PATTERN_CHUNK", 8)
     rng = np.random.default_rng(522)
     for m in range(2, 9):
         if isinstance(space, FunctionLr):  # chunks of a function space hold grid values
             xs = _trig_family(space, m, rng)
             budget = 8 * CombinationEvaluator(space, xs).grid_points
-            monkeypatch.setattr(randomized, "_CHUNK_BUDGET", budget)
+            monkeypatch.setattr(spaces, "_CHUNK_BUDGET", budget)
         else:
             xs = _vector_family(space, m, rng)
         _assert_sign_averages_match_full_enumeration(space, xs, rng, chunk=8)

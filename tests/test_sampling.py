@@ -23,7 +23,6 @@ from dirichlet_ruc.sampling import (
     sign_samples,
     steinhaus_samples,
     torus_characters,
-    torus_fractions,
     uniform_bits,
 )
 
@@ -106,7 +105,7 @@ def test_memoized_panel_rows_equal_fresh_chunks_bitwise():
     with panel_scope():
         for start, count in [(0, 64), (64, 100), (164, 1), (165, 835)]:
             rows = torus_characters(EXPS, 11, 1, 1000, start, count)
-            fresh = character_values(EXPS, torus_fractions(11, 1, count, 2, start=start))
+            fresh = character_values(EXPS, uniform_bits(11, 1, count, 2, start=start))
             assert rows.tobytes() == fresh.tobytes()
 
 
@@ -179,7 +178,7 @@ def _character_values_all_variables(exponents, fractions):
 
 
 def _dense_torus_characters(exponents, seed, stream, samples, start, count):
-    fractions = torus_fractions(seed, stream, count, exponents.shape[1], start)
+    fractions = uniform_bits(seed, stream, count, exponents.shape[1], start)
     return _character_values_all_variables(exponents, fractions)
 
 
@@ -221,13 +220,12 @@ def test_uniform_bits_columns_equal_full_draw_columns(seed, stream, count, width
     full = uniform_bits(seed, stream, count, width, start)
     assert part.shape == (count, len(columns)) and part.dtype == np.uint64
     assert part.tobytes() == full[:, columns].tobytes()
-    assert torus_fractions(seed, stream, count, width, start, columns).tobytes() == part.tobytes()
 
 
 @settings(max_examples=80, deadline=None)
 @given(exps=exponent_matrices(), seed=st.integers(0, 2**31), samples=st.integers(0, 50))
 def test_character_values_match_all_variables_loop_bitwise(exps, seed, samples):
-    fractions = torus_fractions(seed, 1, samples, exps.shape[1])
+    fractions = uniform_bits(seed, 1, samples, exps.shape[1])
     got = character_values(exps, fractions)
     assert got.dtype == np.complex128 and got.flags.c_contiguous
     assert got.shape == (samples, len(exps))
