@@ -10,6 +10,7 @@ for arithmetic progressions of primes.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -230,19 +231,11 @@ def factorize(n: int, table: PrimeTable | None = None) -> MultiIndex:
 
 def _factorize_trial(n: int, table: PrimeTable) -> MultiIndex:
     """Trial division by the table's primes.  A leftover with no factor in
-    the table is tested for primality first: a prime one needs a sieve up to
-    itself for its slot, a composite one up to its square root at most."""
+    the table is split by Pollard-Brent rho, so a prime factor past the sieve
+    budget is refused before any sieve grows, and the table grows only as far
+    as the largest factor, which needs a sieve up to itself for its slot."""
     factors: list[tuple[int, int]] = []
-    slot = 0
-    while n > 1:
-        if slot == len(table):
-            if _is_prime(n):
-                break
-            need = min(math.isqrt(n), SIEVE_LIMIT)
-            if table.limit >= need:
-                raise ResourceError(f"prime factors of {n} exceed sieve budget {SIEVE_LIMIT}")
-            table = shared_table(need)
-            continue
+    for slot in range(len(table)):
         p = table[slot]
         if p * p > n:
             break
@@ -252,14 +245,56 @@ def _factorize_trial(n: int, table: PrimeTable) -> MultiIndex:
                 n //= p
                 count += 1
             factors.append((slot, count))
-        slot += 1
-    if n > 1:
-        if n > SIEVE_LIMIT:
-            raise ResourceError(f"prime factor {n} exceeds sieve budget {SIEVE_LIMIT}")
-        if n > table.limit:
-            table = shared_table(n)
-        factors.append((table.slot_of(n), 1))
+    leftover = sorted(_prime_factors(n))
+    if leftover:
+        if leftover[-1] > SIEVE_LIMIT:
+            raise ResourceError(f"prime factor {leftover[-1]} exceeds sieve budget {SIEVE_LIMIT}")
+        if leftover[-1] > table.limit:
+            table = shared_table(leftover[-1])
+        for p in sorted(set(leftover)):
+            factors.append((table.slot_of(p), leftover.count(p)))
     return MultiIndex.from_pairs(factors)
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The prime factors of n >= 1, with multiplicity, in no fixed order."""
+    if n == 1:
+        return []
+    if _is_prime(n):
+        return [n]
+    d = _rho_divisor(n)
+    return _prime_factors(d) + _prime_factors(n // d)
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of the composite n, by Brent's variant of Pollard's
+    rho on x -> x^2 + c, c = 1, 2, ... until one splits n (deterministic).
+    Products of |x - y| are batched 128 at a time between gcds."""
+    root = math.isqrt(n)
+    if root * root == n:
+        return root  # a square; rho's two cycles can coincide on it
+    for c in itertools.count(1):
+        y, r, q, d = 2, 1, 1, 1
+        while d == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and d == 1:
+                saved = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                d = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if d == n:  # the batch overshot: step back one product at a time
+            y, d = saved, 1
+            while d == 1:
+                y = (y * y + c) % n
+                d = math.gcd(abs(x - y), n)
+        if d != n:
+            return d
 
 
 def _is_prime(n: int) -> bool:

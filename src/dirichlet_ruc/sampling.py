@@ -112,20 +112,30 @@ class SamplerConfig:
 
 _U64 = np.uint64
 _MASK = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
+_GOLDEN = _U64(0x9E3779B97F4A7C15)
 _MIX1 = _U64(0xBF58476D1CE4E5B9)
 _MIX2 = _U64(0x94D049BB133111EB)
+_BLOCK = 1 << 14  # words per cache-sized block of the RNG and the torus exponential
+_TURN = 2 * math.pi * 2.0**-64  # radians per fixed-point unit
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    x = (x ^ (x >> _U64(30))) * _MIX1
-    x = (x ^ (x >> _U64(27))) * _MIX2
-    return x ^ (x >> _U64(31))
+def _mix64(x: np.ndarray, scratch: np.ndarray) -> None:
+    """SplitMix64 finalizer, in place; scratch is a buffer of x's shape."""
+    np.right_shift(x, _U64(30), out=scratch)
+    x ^= scratch
+    x *= _MIX1
+    np.right_shift(x, _U64(27), out=scratch)
+    x ^= scratch
+    x *= _MIX2
+    np.right_shift(x, _U64(31), out=scratch)
+    x ^= scratch
 
 
 def _stream_key(seed: int, stream: int) -> np.uint64:
-    base = _U64((int(seed) * _GOLDEN) & _MASK) ^ _U64((int(stream) * 0xD1B54A32D192ED03) & _MASK)
-    return _mix64(base)
+    base = ((int(seed) * int(_GOLDEN)) ^ (int(stream) * 0xD1B54A32D192ED03)) & _MASK
+    key = np.array([base], dtype=np.uint64)
+    _mix64(key, np.empty_like(key))
+    return key[0]
 
 
 def uniform_bits(
@@ -145,9 +155,18 @@ def uniform_bits(
     """
     cols = np.arange(width, dtype=np.uint64) if columns is None else np.asarray(columns, np.uint64)
     rows = np.arange(start, start + count, dtype=np.uint64)
-    counters = rows[:, None] * _U64(width) + cols[None, :]
-    with np.errstate(over="ignore"):
-        return _mix64(_stream_key(seed, stream) + counters * _U64(_GOLDEN))
+    rows *= _U64(width)
+    words = np.empty((count, cols.size), dtype=np.uint64)
+    np.add(rows[:, None], cols[None, :], out=words)  # the counters
+    key = _stream_key(seed, stream)
+    flat = words.reshape(-1)
+    scratch = np.empty(min(_BLOCK, flat.size), dtype=np.uint64)
+    for lo in range(0, flat.size, _BLOCK):
+        block = flat[lo : lo + _BLOCK]
+        block *= _GOLDEN
+        block += key
+        _mix64(block, scratch[: block.size])
+    return words
 
 
 def sign_samples(seed: int, stream: int, count: int, width: int, start: int = 0) -> np.ndarray:
@@ -165,20 +184,69 @@ def gaussian_samples(
     seed: int, stream: int, count: int, width: int, variant: str = "complex", start: int = 0
 ) -> np.ndarray:
     """Unit-variance Gaussians: complex (E|g|^2 = 1) or real N(0, 1)."""
+    if variant not in ("complex", "real"):
+        raise DomainError(f"unknown gaussian variant {variant!r}")
     bits = uniform_bits(seed, stream, count, 2 * width, start)
-    u1 = _open_unit(bits[:, :width])
-    theta = bits[:, width:].astype(np.float64) * (2 * math.pi * 2.0**-64)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    if variant == "complex":
-        return radius * np.exp(1j * theta) * math.sqrt(0.5)
+    radius = np.sqrt(-2.0 * np.log(_open_unit(bits[:, :width])))
     if variant == "real":
-        return radius * np.cos(theta)
-    raise DomainError(f"unknown gaussian variant {variant!r}")
+        return radius * np.cos(bits[:, width:].astype(np.float64) * _TURN)
+    z = fixed_point_to_complex(bits[:, width:])
+    z *= radius
+    z *= math.sqrt(0.5)
+    return z
+
+
+# e^{2 pi i w / 2^64} = T[w >> (64 - B)] * e^{i phi}, phi the angle of the low
+# 64 - B bits, below 2 pi / 2^B: the table holds the 2^B roots of unity (from
+# the same expression np.exp(1j * w * _TURN) as the words they stand for), and
+# cos phi, sin phi are Taylor series to phi^4, phi^5 (truncation < 1e-19).
+_TABLE_BITS = 12
+_LOW_BITS = 64 - _TABLE_BITS
+_ROOTS = np.exp(1j * ((np.arange(1 << _TABLE_BITS, dtype=np.uint64) << _U64(_LOW_BITS)) * _TURN))
 
 
 def fixed_point_to_complex(numerators: np.ndarray) -> np.ndarray:
-    angles = numerators.astype(np.float64) * (2 * math.pi * 2.0**-64)
-    return np.exp(1j * angles)
+    """e^{2 pi i w / 2^64} for uint64 words w, as complex128 of their shape.
+
+    Only the 2^_TABLE_BITS table entries come from libm; every other step is
+    one correctly rounded IEEE + or x on float64 (no fused multiply-add, no
+    complex multiply), so the CPU can change no other bit.  Words whose low
+    64 - _TABLE_BITS bits are zero, the angles of every quadrature grid of at
+    most 2^_TABLE_BITS points per variable, get their table entry unchanged.
+    Worked one cache-sized block at a time: beside the output it allocates a
+    few blocks of scratch, and a contiguous copy of a strided input."""
+    words = np.asarray(numerators, dtype=np.uint64)
+    out = np.empty(words.shape, dtype=np.complex128)
+    words, flat = words.reshape(-1), out.reshape(-1)
+    n = min(_BLOCK, words.size)
+    phi, phi2, cos, sin = np.empty((4, n))  # one allocation: four would fragment the heap
+    for lo in range(0, words.size, _BLOCK):
+        w = words[lo : lo + _BLOCK]
+        k = w.size
+        f, f2, c, s, z = phi[:k], phi2[:k], cos[:k], sin[:k], flat[lo : lo + k]
+        bits = c.view(np.uint64)  # the top, then the low bits, before cos
+        np.right_shift(w, _U64(_LOW_BITS), out=bits)
+        np.take(_ROOTS, bits.view(np.int64), out=z, mode="wrap")  # in range: no check, no buffer
+        np.bitwise_and(w, _U64((1 << _LOW_BITS) - 1), out=bits)
+        np.multiply(bits.view(np.int64), _TURN, out=f)  # exact int64 -> float64, one rounding
+        np.multiply(f, f, out=f2)
+        np.multiply(f2, 1 / 24, out=c)  # cos = 1 + f2 (-1/2 + f2 / 24)
+        c -= 0.5
+        c *= f2
+        c += 1.0
+        np.multiply(f2, 1 / 120, out=s)  # sin = f + f f2 (-1/6 + f2 / 120)
+        s -= 1 / 6
+        s *= f2
+        s *= f
+        s += f
+        re, im = z.real, z.imag  # (re + i im)(c + i s), one rounding per step
+        np.multiply(im, s, out=f2)
+        np.multiply(re, s, out=f)
+        re *= c
+        re -= f2
+        im *= c
+        im += f
+    return out
 
 
 def steinhaus_samples(seed: int, stream: int, count: int, width: int, start: int = 0) -> np.ndarray:

@@ -339,7 +339,9 @@ class CombinationEvaluator:
             return coordinate_norms(self.space, values)
         r = self.space.r
         mags = np.abs(values)
-        return (mags**r).mean(axis=0) ** (1.0 / r)
+        del values  # the complex values are the largest block: free them first
+        mags **= r
+        return mags.mean(axis=0) ** (1.0 / r)
 
 
 def _mirrored(values: np.ndarray) -> np.ndarray:

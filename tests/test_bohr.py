@@ -137,7 +137,7 @@ def test_factorize_composite_past_the_default_table(monkeypatch):
     alpha = factorize(n)
     assert alpha.pairs == ((6542, 1), (6543, 1))
     assert index_of(alpha) == n
-    assert asked == [1 << 16, 1 << 18]  # one growth step, for isqrt(n) = 65537
+    assert asked == [1 << 16, 1 << 18]  # one growth step, for the factor 65539
 
 
 def test_factorize_refuses_a_huge_prime_before_sieving(recorded_sieves):
@@ -150,13 +150,45 @@ def test_factorize_refuses_a_huge_prime_before_sieving(recorded_sieves):
 
 def test_factorize_composite_of_primes_past_the_budget_is_refused(recorded_sieves):
     from dirichlet_ruc import ResourceError
-    from dirichlet_ruc.bohr import SIEVE_LIMIT
 
-    # 100000007 and 100000037 are primes just past the budget: the sieve
-    # grows to the budget at most, then the leftover is refused.
-    with pytest.raises(ResourceError):
+    # 100000007 and 100000037 are primes just past the budget: rho splits
+    # the leftover, and it is refused before any sieve grows.
+    with pytest.raises(ResourceError, match="100000037 exceeds sieve budget"):
         factorize(100_000_007 * 100_000_037)
-    assert recorded_sieves == [1 << 16, SIEVE_LIMIT]
+    assert recorded_sieves == [1 << 16]
+
+
+@pytest.mark.parametrize(
+    "small, large",
+    [
+        (1, (65537, 65537)),  # a square
+        (12, (65537, 65537, 65537)),  # a cube
+        (65521, (65539, 99991)),
+        (2, (65543, 262139, 262147)),
+        (1, (262147, 262147, 65543)),
+        (3, (1048573, 65537)),
+    ],
+)
+def test_rho_splits_leftovers_of_up_to_three_large_primes(monkeypatch, small, large):
+    from dirichlet_ruc import bohr
+
+    asked = _record_real_sieves(monkeypatch)
+    n = small * math.prod(large)
+    alpha = factorize(n)
+    assert index_of(alpha) == n
+    table = bohr.shared_table()
+    primes = {table[slot] for slot, _ in alpha.pairs}
+    assert primes == set(large) | {p for p in (2, 3, 65521) if small % p == 0}
+    # The table grew once, and only as far as the largest factor needs.
+    assert asked == [1 << 16, table.limit] and max(large) <= table.limit < 4 * max(large)
+
+
+def test_rho_refuses_a_factor_past_the_budget_beside_one_inside(recorded_sieves):
+    from dirichlet_ruc import ResourceError
+
+    with pytest.raises(ResourceError, match="100000007 exceeds"):
+        factorize(65537 * 100_000_007)
+    assert recorded_sieves == [1 << 16]
 
 
 def test_first_lookup_on_a_large_table_adds_no_memory():

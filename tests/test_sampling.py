@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -271,3 +273,138 @@ def test_gapped_sparse_support_matches_dense_path_and_draws_used_columns(monkeyp
     sparse = hp_norm(D, 1.0, cfg, method="mc")
     assert sparse.mode == "mc" and sparse == dense
     assert drawn == [(3000, 3)]  # only the columns of the primes 2, 7 and 4999
+
+
+# --- the torus exponential and the counter RNG
+
+
+def _uniform_bits_expression(seed, stream, count, width, start=0, columns=None):
+    """uniform_bits as one out-of-place numpy expression (a SplitMix64
+    finalizer over golden-ratio strides of the counters)."""
+    u64 = np.uint64
+    cols = np.arange(width, dtype=u64) if columns is None else np.asarray(columns, u64)
+    counters = np.arange(start, start + count, dtype=u64)[:, None] * u64(width) + cols[None, :]
+    base = ((seed * 0x9E3779B97F4A7C15) ^ (stream * 0xD1B54A32D192ED03)) & ((1 << 64) - 1)
+
+    def mix(x):
+        x = (x ^ (x >> u64(30))) * u64(0xBF58476D1CE4E5B9)
+        x = (x ^ (x >> u64(27))) * u64(0x94D049BB133111EB)
+        return x ^ (x >> u64(31))
+
+    with np.errstate(over="ignore"):
+        return mix(mix(np.array([base], dtype=u64)) + counters * u64(0x9E3779B97F4A7C15))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**63),
+    stream=st.integers(1, 7),
+    count=st.integers(0, 40),
+    width=st.integers(1, 600),
+    start=st.integers(0, 2**40),
+    data=st.data(),
+)
+def test_uniform_bits_equal_the_out_of_place_expression(seed, stream, count, width, start, data):
+    columns = data.draw(
+        st.none() | st.lists(st.integers(0, width - 1), max_size=12).map(np.array)
+    )
+    got = uniform_bits(seed, stream, count, width, start, columns=columns)
+    want = _uniform_bits_expression(seed, stream, count, width, start, columns)
+    assert got.dtype == np.uint64 and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+_TURN = 2 * np.pi * 2.0**-64
+_LOW_BITS = 64 - sampling._TABLE_BITS
+
+
+def _grid_words(bits):
+    return np.arange(1 << bits, dtype=np.uint64) << np.uint64(64 - bits)
+
+
+def test_torus_exponential_is_exp_on_grid_words_bitwise():
+    # Every word with zero low bits: the angles of the power-of-two quadrature
+    # grids, down to 2^-12 turn, keep the bytes of np.exp(1j * angle).
+    words = np.concatenate([_grid_words(sampling._TABLE_BITS), _grid_words(3)])
+    want = np.exp(1j * (words.astype(np.float64) * _TURN))
+    assert fixed_point_to_complex(words).tobytes() == want.tobytes()
+
+
+def _torus_oracle(words):
+    """e^{2 pi i w / 2^64} in extended precision: the word and 2 pi are exact
+    to 64 bits, and cosl, sinl are accurate to an ulp of that."""
+    turn = np.longdouble("6.283185307179586476925286766559005768") / np.longdouble(2.0**64)
+    angles = words.astype(np.longdouble) * turn
+    return np.cos(angles), np.sin(angles)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="no extended precision")
+def test_torus_exponential_error_is_below_1e15_of_an_extended_precision_oracle():
+    rng = np.random.default_rng(2024)
+    grid = _grid_words(sampling._TABLE_BITS)
+    words = np.concatenate([
+        rng.integers(0, 2**64, size=200_000, dtype=np.uint64, endpoint=False),
+        np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64),
+        grid - np.uint64(1),
+        grid + np.uint64(1),
+        grid + np.uint64((1 << _LOW_BITS) - 1),
+    ])
+    z = fixed_point_to_complex(words)
+    cos, sin = _torus_oracle(words)
+    error = np.maximum(np.abs(z.real - cos), np.abs(z.imag - sin)).astype(np.float64)
+    assert error.max() <= 1e-15
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    size=st.sampled_from([1, 2, 3]).flatmap(
+        lambda k: st.integers(k * sampling._BLOCK - 3, k * sampling._BLOCK + 3)
+    ),
+    seed=st.integers(0, 2**31),
+    data=st.data(),
+)
+def test_torus_exponential_bytes_do_not_depend_on_blocks_or_strides(size, seed, data):
+    words = uniform_bits(seed, 1, size, 1).ravel()
+    whole = fixed_point_to_complex(words)
+    assert whole.shape == words.shape and whole.flags.c_contiguous
+    cut = data.draw(st.integers(0, size))
+    parts = np.concatenate([fixed_point_to_complex(words[:cut]), fixed_point_to_complex(words[cut:])])
+    assert parts.tobytes() == whole.tobytes()
+    step = data.draw(st.integers(2, 5))
+    assert fixed_point_to_complex(words[::step]).tobytes() == whole[::step].tobytes()
+    width = data.draw(st.integers(1, 9))
+    table = words[: size // (2 * width) * 2 * width].reshape(-1, 2 * width)
+    right = fixed_point_to_complex(table[:, width:])  # a strided view, as in gaussian_samples
+    assert right.tobytes() == fixed_point_to_complex(table)[:, width:].tobytes()
+
+
+def test_gaussian_samples_build_on_the_torus_exponential():
+    bits = uniform_bits(5, 4, 300, 6)
+    radius = np.sqrt(-2.0 * np.log((bits[:, :3].astype(np.float64) + 1.0) * 2.0**-64))
+    want = radius * fixed_point_to_complex(bits[:, 3:]) * np.sqrt(0.5)
+    assert gaussian_samples(5, 4, 300, 3).tobytes() == want.tobytes()
+    real = radius * np.cos(bits[:, 3:].astype(np.float64) * _TURN)
+    assert gaussian_samples(5, 4, 300, 3, variant="real").tobytes() == real.tobytes()
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Beside its output, each holds a few cache-sized blocks of scratch only.
+
+
+def test_uniform_bits_works_in_place():
+    bits, peak = _traced_peak(uniform_bits, 3, 1, 20_000, 17)
+    assert peak <= 2.2 * bits.nbytes
+
+
+def test_torus_exponential_works_in_place():
+    words = uniform_bits(3, 1, 20_000, 16)
+    z, peak = _traced_peak(fixed_point_to_complex, words)
+    assert peak <= 1.3 * z.nbytes
