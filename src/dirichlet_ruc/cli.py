@@ -81,17 +81,27 @@ def estimate_cells(prefix: str, est: Estimate | None) -> dict:
 _MODE_RANK = {"exact": 0, "quadrature": 1, "mc": 2}
 
 
-def ratio_cells(prefix: str, num: Estimate, den: Estimate, ratio: float) -> dict:
-    rel = 0.0
-    if num.value != 0:
-        rel += (num.uncertainty / num.value) ** 2
-    if den.value != 0:
-        rel += (den.uncertainty / den.value) ** 2
+def ratio_cells(
+    prefix: str, num: Estimate, den: Estimate, ratio: float, quad_error: float | None = None
+) -> dict:
+    """Cells of num / den.  The Monte Carlo and the quadrature errors of the
+    two propagate separately, to first order; a ratio taken on one grid pass
+    brings its own quad_error."""
+
+    def propagated(error) -> float:
+        rel = 0.0
+        for est in (num, den):
+            if est.value != 0:
+                rel += (error(est) / est.value) ** 2
+        return abs(ratio) * rel**0.5
+
     mode = max((num.mode, den.mode), key=lambda m: _MODE_RANK[m])
     return {
         prefix: ratio,
-        f"{prefix}_stderr": abs(ratio) * rel**0.5,
-        f"{prefix}_quad_error": 0.0,
+        f"{prefix}_stderr": propagated(lambda est: est.stderr),
+        f"{prefix}_quad_error": (
+            propagated(lambda est: est.quad_error) if quad_error is None else quad_error
+        ),
         f"{prefix}_mode": mode,
     }
 
@@ -238,7 +248,9 @@ def _ratio_command(args, out, orientation) -> int:
         "p": p,
         **estimate_cells("numerator", report.numerator),
         **estimate_cells("denominator", report.denominator),
-        **ratio_cells("ratio", report.numerator, report.denominator, report.ratio),
+        **ratio_cells(
+            "ratio", report.numerator, report.denominator, report.ratio, report.quad_error
+        ),
         "instance": report.instance,
     }
     emit([row], list(row), args.format, out)
@@ -262,7 +274,9 @@ def _cmd_ruc_search(args, out) -> int:
         "p": p,
         **estimate_cells("numerator", report.numerator),
         **estimate_cells("denominator", report.denominator),
-        **ratio_cells("best_ratio", report.numerator, report.denominator, report.ratio),
+        **ratio_cells(
+            "best_ratio", report.numerator, report.denominator, report.ratio, report.quad_error
+        ),
         "coefficients": coeff_text,
         "note": "lower bound from finite search",
     }

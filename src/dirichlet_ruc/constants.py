@@ -1,9 +1,10 @@
 """RUC/RUD ratios, extremal-constant search, type/cotype witnesses, and
 growth experiments pitting sqrt(N) against Dirichlet-kernel L1 growth.
 
-Ratio reports certify lower bounds only: the true constants are suprema
-over all lengths and coefficient choices, and the derivative-free search
-merely reports the best instance it found.
+A ratio is a lower bound on its constant up to the reported uncertainty
+only: the true constants are suprema over all lengths and coefficient
+choices, and the derivative-free search merely reports the best instance it
+found.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .dirichlet import (
     DirichletPolynomial, dirichlet_kernel_l1, hp_norm, lift_arrays, scalar_polynomial
 )
 from .errors import DomainError, UndefinedRatioError
-from .randomized import hprad_norm, rademacher_average
+from .randomized import _same_pass, hprad_norm, rademacher_average
 from .sampling import (
     MODE_EXACT,
     MODE_QUADRATURE,
@@ -45,10 +46,15 @@ from .spaces import (
 
 @dataclass(frozen=True)
 class RatioReport:
+    """numerator / denominator.  quad_error is the quadrature error of a
+    ratio whose two norms come from one grid pass, |R_fine - R_half|; None
+    when they come from separate passes, whose errors then propagate."""
+
     numerator: Estimate
     denominator: Estimate
     ratio: float
     instance: str
+    quad_error: float | None = None
 
     def __post_init__(self):
         if not self.denominator.value > 0:
@@ -75,17 +81,23 @@ class SearchConfig:
 def ruc_ratio(
     D: DirichletPolynomial, p: float, cfg: SamplerConfig | None = None
 ) -> RatioReport:
-    """||D||_rad / ||D||: > 1 means sign-averaging exceeds the plain norm."""
+    """||D||_rad / ||D||: > 1 means sign-averaging exceeds the plain norm.
+
+    When hprad_norm takes its grid route, the denominator is the identity
+    coset of the same pass, so a support whose sign patterns form a single
+    coset has a ratio of exactly 1."""
     cfg = cfg if cfg is not None else SamplerConfig()
     if D.is_zero():
         raise UndefinedRatioError("zero polynomial")
-    numerator = hprad_norm(D, p, cfg)
-    denominator = hp_norm(D, p, cfg)
+    with _same_pass() as found:
+        numerator = hprad_norm(D, p, cfg)
+    denominator, quad_error = found[0] if found else (hp_norm(D, p, cfg), None)
     return RatioReport(
         numerator=numerator,
         denominator=denominator,
         ratio=numerator.value / denominator.value,
         instance=describe_instance(D, p),
+        quad_error=quad_error,
     )
 
 
@@ -94,11 +106,13 @@ def rud_ratio(
 ) -> RatioReport:
     """||D|| / ||D||_rad: the reciprocal orientation of ruc_ratio."""
     report = ruc_ratio(D, p, cfg)
+    quad_error = report.quad_error
     return RatioReport(
         numerator=report.denominator,
         denominator=report.numerator,
         ratio=report.denominator.value / report.numerator.value,
         instance=report.instance,
+        quad_error=None if quad_error is None else quad_error / report.ratio**2,  # first order
     )
 
 

@@ -24,8 +24,9 @@ from .sampling import (
     STREAM_TORUS,
     _CHUNK_BUDGET,
     Estimate,
+    GridPolicy,
     SamplerConfig,
-    character_values,
+    grid_characters,
     torus_characters,
 )
 from .spaces import (
@@ -141,19 +142,20 @@ def _exponent_rows(ns: list[int]) -> np.ndarray:
     return exps
 
 
+def _grid_sizes(exponents: np.ndarray, policy: GridPolicy):
+    """(used, fine, half): the exponent columns of the variables some term
+    uses, and the sizes of the quadrature grid and of its half grid on them."""
+    used = exponents[:, np.abs(exponents).max(axis=0) > 0]
+    fine = [policy.size_for(int(top)) for top in np.abs(used).max(axis=0)]
+    return used, fine, [max(g // 2, 1) for g in fine]
+
+
 def _grid_columns(exponents: np.ndarray, sizes: Sequence[int]):
     """draw(lo, n) giving the multipliers z^E[t] at points [lo, lo + n) of the
-    tensor grid of `sizes` (C order, the last variable fastest) as columns,
-    one block of points at a time."""
-    steps = [np.uint64(2**64 // g) for g in sizes]  # grid angles in 64-bit fixed point
+    tensor grid of `sizes` as columns."""
 
     def draw(lo: int, n: int) -> np.ndarray:
-        index = np.arange(lo, lo + n, dtype=np.uint64)
-        fractions = np.empty((n, len(sizes)), dtype=np.uint64)
-        for j in reversed(range(len(sizes))):
-            fractions[:, j] = index % np.uint64(sizes[j]) * steps[j]
-            index //= np.uint64(sizes[j])
-        return character_values(exponents, fractions).T
+        return grid_characters(exponents, sizes, lo, n).T
 
     return draw
 
@@ -169,17 +171,17 @@ def _polytorus_norm(
     """Shared engine for H_p and circle norms of sum x_n * z^{E[n]}."""
     # The grid spans only the variables some term uses; the Monte Carlo
     # panel keeps every column, since its width fixes the counter stream.
-    used = exponents[:, np.abs(exponents).max(axis=0) > 0]
+    variables = np.count_nonzero(exponents.any(axis=0))
     if method == "quadrature" or (
-        method == "auto" and p == 2 and used.shape[1] <= QUADRATURE_MAX_VARIABLES
+        method == "auto" and p == 2 and variables <= QUADRATURE_MAX_VARIABLES
     ):
         policy = cfg.grid_policy
-        sizes = [policy.size_for(int(top)) for top in np.abs(used).max(axis=0)]
+        used, sizes, halves = _grid_sizes(exponents, policy)
         points = math.prod(sizes)
         if points <= policy.max_points:
             fine, rough = (
                 combination_moments(space, xs, _grid_columns(used, grid), math.prod(grid), [p])[0]
-                for grid in (sizes, [max(g // 2, 1) for g in sizes])
+                for grid in (sizes, halves)
             )
             return Estimate(  # the outer grid's gap, plus a function space's inner one
                 value=fine.value,

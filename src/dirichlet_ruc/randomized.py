@@ -4,27 +4,34 @@ The workhorse is (E || sum_n c_n(omega) x_n ||^q)^(1/q) where c_n are
 Rademacher signs, Steinhaus rotations, or Gaussians.  Sign averages are
 exact up to `exact_cutoff`, Monte Carlo beyond: the exact mean runs over
 all 2^m patterns but evaluates only half of them, since a pattern and its
-negation give the same norm.  Rotations and Gaussians are Monte Carlo with
-closed forms where moments make them available.  All sampling is
-counter-based: identical configs give identical Estimates.
+negation give the same norm.  The sign average of an H_p norm, where it is
+exact and its grid is cheaper than its Monte Carlo panel, runs on a
+quadrature grid with one sign pattern per class of patterns that grid
+rotations and negation carry into each other.  Rotations and Gaussians are
+Monte Carlo with closed forms where moments make them available.  All
+sampling is counter-based: identical configs give identical Estimates.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .dirichlet import DirichletPolynomial, lift_arrays
+from .dirichlet import DirichletPolynomial, _grid_columns, _grid_sizes, lift_arrays
 from .errors import DomainError, UndefinedRatioError
 from .sampling import (
     MODE_MC,
+    MODE_QUADRATURE,
     STREAM_GAUSSIAN,
     STREAM_OUTER_SIGNS,
     STREAM_SIGNS,
     STREAM_STEINHAUS,
     STREAM_TORUS,
+    _CHUNK_BUDGET,
     Estimate,
     SamplerConfig,
     block_stderr,
@@ -46,6 +53,7 @@ from .spaces import (
     coordinate_norms,
     coordinate_norms_of_rows,
     element_is_zero,
+    family_grid_sizes,
     is_coordinate,
 )
 
@@ -172,6 +180,164 @@ def rad_norm(xs: Sequence, space: SpaceSpec, cfg: SamplerConfig | None = None) -
     return rademacher_average(xs, space, 1.0, cfg)
 
 
+def _diagonal_form(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """(U, d) for an integer matrix A = rows: U has determinant +-1, and
+    U A W = diag(d) padded with zeros for some W of determinant +-1 (Euclid
+    on rows, tracked in U, and on columns, not tracked).  Rows len(d), ...
+    of U are then a basis of the integer left kernel of A."""
+    a = [list(row) for row in rows]
+    m, v = len(a), len(a[0])
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    d: list[int] = []
+    for k in range(min(m, v)):
+        while True:
+            entries = [(abs(a[i][j]), i, j) for i in range(k, m) for j in range(k, v) if a[i][j]]
+            if not entries:
+                return u, d
+            _, i, j = min(entries)  # the smallest entry left becomes the pivot
+            a[k], a[i], u[k], u[i] = a[i], a[k], u[i], u[k]
+            for row in a:
+                row[k], row[j] = row[j], row[k]
+            pivot = a[k][k]
+            for i in range(k + 1, m):
+                q = a[i][k] // pivot
+                a[i] = [x - q * y for x, y in zip(a[i], a[k])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[k])]
+            for j in range(k + 1, v):
+                q = a[k][j] // pivot
+                for row in a[k:]:
+                    row[j] -= q * row[k]
+            if not any(a[i][k] for i in range(k + 1, m)) and not any(a[k][k + 1 :]):
+                break  # remainders left: a smaller pivot, and another round
+        d.append(a[k][k])
+    return u, d
+
+
+def _reduced_basis(vectors: Sequence[int]) -> list[int]:
+    """Reduced echelon basis over F_2 of the span of bit-mask vectors: each
+    basis vector's highest bit is set in no other basis vector."""
+    basis: list[int] = []
+    for v in vectors:
+        for b in sorted(basis, reverse=True):
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+    basis.sort()
+    for j in range(len(basis)):
+        for low in basis[:j]:
+            if basis[j] >> (low.bit_length() - 1) & 1:
+                basis[j] ^= low
+    return basis
+
+
+def _grid_cosets(exponents: np.ndarray, halves: Sequence[int]) -> np.ndarray:
+    """(m, R) sign patterns, one per coset of H.{+1, -1} in {+1, -1}^m, the
+    identity first; the cosets all have 2^m / R patterns.
+
+    H holds the patterns eps_n = z^E[n](theta) of the rotations theta that
+    map the grid of `halves`, and every grid refining it, onto itself:
+    theta_j a multiple of 1 / halves[j].  Such a rotation, or a negation,
+    leaves the grid average of || sum_n eps_n x_n z^E[n] ||^p unchanged.
+    With halves[j] = 2^s_j, S = max s_j and A = E with column j scaled by
+    2^(S - s_j), the pattern (-1)^b lies in H iff 2^(S-1) b = A t mod 2^S for
+    an integer t.  With U A W = diag(d) from _diagonal_form, that holds iff
+    (U b)_i is even for the rows i of U past d (the integer left kernel of E:
+    the rotations of the whole torus) and for the i with 2^S | d_i (rotations
+    whose denominators the grid lacks).  Those rows mod 2 span K, the
+    orthogonal complement of H; the even-weight part K' of K is that of
+    H.{+1, -1}.  A coset is a fibre of b -> (k . b) over a basis of K', and
+    with the basis in reduced echelon form the patterns flipping only signs
+    at its pivots meet each fibre once."""
+    m = exponents.shape[0]
+    top = max(h.bit_length() - 1 for h in halves)
+    scaled = [[int(e) << (top - (h.bit_length() - 1)) for e, h in zip(row, halves)] for row in exponents]
+    u, d = _diagonal_form(scaled)
+    kept = [row for i, row in enumerate(u) if i >= len(d) or d[i] % (1 << top) == 0]
+    basis = _reduced_basis([sum((x & 1) << n for n, x in enumerate(row)) for row in kept])
+    odd = [b for b in basis if b.bit_count() & 1]
+    even = [b ^ odd[0] if b.bit_count() & 1 else b for b in basis if not odd or b != odd[0]]
+    pivots = [b.bit_length() - 1 for b in _reduced_basis(even)]
+    index = np.arange(1 << len(pivots))
+    signs = np.ones((m, index.size))
+    for i, n in enumerate(pivots):
+        signs[n, (index >> i) & 1 == 1] = -1.0
+    return signs
+
+
+def _grid_route(
+    space: SpaceSpec, xs: list[Element], exponents: np.ndarray, cfg: SamplerConfig, evaluated: int
+):
+    """(used exponents, grid, half grid, coset patterns) when the sign average
+    of an H_p norm takes the grid route, else None.  The grid must fit
+    GridPolicy.max_points; its norms, (grid + half grid points) x cosets,
+    must not outnumber the Monte Carlo loop's, samples x evaluated patterns;
+    and the family stacked once per coset, cosets x rows x terms, must fit
+    _CHUNK_BUDGET."""
+    used, fine, half = _grid_sizes(exponents, cfg.grid_policy)
+    if math.prod(fine) > cfg.grid_policy.max_points:
+        return None
+    signs = _grid_cosets(used, half)
+    cosets = signs.shape[1]
+    if (math.prod(fine) + math.prod(half)) * cosets > cfg.samples * evaluated:
+        return None
+    rows = space.d if is_coordinate(space) else math.prod(family_grid_sizes(space, xs))
+    if cosets * rows * len(xs) > _CHUNK_BUDGET:
+        return None
+    return used, fine, half, signs
+
+
+class _SamePass(NamedTuple):
+    """What a grid-route hprad_norm learns besides its value: the plain norm
+    (the identity coset) and the ratio's quadrature error, |R_fine - R_half|
+    plus the first-order share of a function space's inner grid error."""
+
+    denominator: Estimate
+    ratio_quad_error: float
+
+
+_SAME_PASS: ContextVar[list | None] = ContextVar("dirichlet_ruc_same_pass", default=None)
+
+
+@contextmanager
+def _same_pass() -> Iterator[list]:
+    """Inside the block, a grid-route hprad_norm appends its _SamePass to the
+    yielded list."""
+    found: list = []
+    token = _SAME_PASS.set(found)
+    try:
+        yield found
+    finally:
+        _SAME_PASS.reset(token)
+
+
+def _grid_hprad(
+    space: SpaceSpec, xs: list[Element], route: tuple, p: float
+) -> tuple[Estimate, _SamePass]:
+    """hprad_norm on the grid route: per coset pattern, the grid average of
+    g^p on the grid and on its half grid; the value is the mean over cosets
+    of its p-th root, and its error the gap between the two grids."""
+    used, fine, half, signs = route
+    values, inner = [], []  # per grid: (numerator, plain norm), and their inner errors
+    for sizes in (fine, half):
+        estimates = combination_moments(
+            space, xs, _grid_columns(used, sizes), math.prod(sizes), [p], patterns=signs
+        )
+        values.append((float(np.mean([e.value for e in estimates])), estimates[0].value))
+        inner.append((float(np.mean([e.quad_error for e in estimates])), estimates[0].quad_error))
+    (num, den), (num_half, den_half) = values
+    num_inner, den_inner = inner[0]
+    points = math.prod(fine)
+    numerator = Estimate(
+        num, samples_used=points, mode=MODE_QUADRATURE, quad_error=abs(num - num_half) + num_inner
+    )
+    denominator = Estimate(
+        den, samples_used=points, mode=MODE_QUADRATURE, quad_error=abs(den - den_half) + den_inner
+    )
+    ratio = num / den
+    gap = abs(ratio - num_half / den_half) if den_half > 0 else math.inf
+    return numerator, _SamePass(denominator, gap + ratio * (num_inner / num + den_inner / den))
+
+
 def _coordinate_rows(
     mult: np.ndarray, matrix: np.ndarray, signs: np.ndarray, out: np.ndarray
 ):
@@ -189,9 +355,14 @@ def hprad_norm(
     """Expected H_p norm over random sign flips of the coefficients.
 
     Signs are enumerated exactly for supports up to exact_cutoff, sampled
-    otherwise; inner H_p norms share one polytorus sample panel across all
-    sign patterns (common random numbers).  The stderr combines 10-block
-    panel resampling with pattern-sampling variance and is approximate.
+    otherwise.  Where they are enumerated and the quadrature grid of the used
+    variables costs no more norms than the Monte Carlo loop (_grid_route),
+    the inner H_p norms are grid averages, one per coset of the sign
+    patterns that grid rotations and negation carry into each other
+    (_grid_cosets), and the half grid's gap is the error.  Otherwise inner
+    H_p norms share one polytorus sample panel across all sign patterns
+    (common random numbers); the stderr combines 10-block panel resampling
+    with pattern-sampling variance and is approximate.
     """
     if p < 1:
         raise DomainError("p must be >= 1")
@@ -205,6 +376,13 @@ def hprad_norm(
     draw, evaluated, exact_outer, mirrored = _sign_rule(
         m, cfg, min(4096, cfg.samples), STREAM_OUTER_SIGNS
     )
+    route = _grid_route(D.space, xs, exps, cfg, evaluated) if exact_outer else None
+    if route is not None:
+        numerator, same = _grid_hprad(D.space, xs, route, p)
+        found = _SAME_PASS.get()
+        if found is not None:
+            found.append(same)
+        return numerator
     patterns = evaluated << mirrored  # the negated half is mirrored in below
     signs = np.ascontiguousarray(draw(0, evaluated), dtype=np.complex128)  # F order would switch BLAS rounding
 

@@ -261,20 +261,37 @@ def character_values(exponents: np.ndarray, fractions: np.ndarray) -> np.ndarray
     Returns C-ordered (samples, terms) complex multipliers of modulus 1.
     Only the nonzero exponents are added.  The angle accumulation is exact
     uint64 arithmetic mod 2**64 (one turn), so neither the skipped zeros nor
-    the order of the adds can change a byte of the result.
+    the order of the adds can change a byte of the result.  The sums run one
+    cache-sized block of samples at a time, each product through one scratch
+    row, and are written transposed into the words: beside the angles, the
+    words and the output, nothing of the panel's size is allocated.
     """
     angles = np.ascontiguousarray(fractions.T)  # a contiguous row per variable
-    acc = np.zeros((exponents.shape[0], fractions.shape[0]), dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        for t, j in zip(*(axis.tolist() for axis in np.nonzero(exponents))):
-            acc[t] += angles[j] * _U64(int(exponents[t, j]) & _MASK)
-    acc = acc.T.copy()  # (samples, terms), C-ordered; frees the transposed sums early
-    return fixed_point_to_complex(acc)
+    samples, terms = fractions.shape[0], exponents.shape[0]
+    nonzero = [
+        (t, j, _U64(int(exponents[t, j]) & _MASK))
+        for t, j in zip(*(axis.tolist() for axis in np.nonzero(exponents)))
+    ]
+    words = np.empty((samples, terms), dtype=np.uint64)
+    n = min(_BLOCK, samples)
+    sums = np.empty((terms, n), dtype=np.uint64)
+    row = np.empty(n, dtype=np.uint64)
+    for lo in range(0, samples, _BLOCK):
+        k = min(_BLOCK, samples - lo)
+        acc, product = sums[:, :k], row[:k]
+        acc.fill(0)
+        for t, j, e in nonzero:
+            np.multiply(angles[j, lo : lo + k], e, out=product)
+            acc[t] += product
+        words[lo : lo + k] = acc.T
+    del angles, sums, row  # before the output is allocated
+    return fixed_point_to_complex(words)
 
 
 @contextmanager
 def panel_scope():
-    """Memoize torus character panels inside the block; nested blocks share one memo."""
+    """Memoize torus and grid character panels inside the block; nested
+    blocks share one memo."""
     token = _PANELS.set({} if _PANELS.get() is None else _PANELS.get())
     try:
         yield
@@ -282,86 +299,124 @@ def panel_scope():
         _PANELS.reset(token)
 
 
+def _panel_rows(key: tuple, rows: int, width: int, draw, start: int, count: int) -> np.ndarray:
+    """Rows [start, start + count) of the (rows, width) panel that draw(lo, n)
+    draws n rows of.  Inside panel_scope, the first panels drawn, up to
+    _CHUNK_BUDGET entries in all, are memoized whole under `key` and handed
+    out as views (not to be written).  Rows are pure functions of their
+    index, so a view and a fresh chunk agree bit for bit."""
+    memo = _PANELS.get()
+    if memo is not None and key not in memo:
+        if sum(v.size for v in memo.values()) + rows * width <= _CHUNK_BUDGET:
+            memo[key] = draw(0, rows)
+    if memo is None or key not in memo:  # no scope, or no room left in the memo
+        return draw(start, count)
+    return memo[key][start : start + count]
+
+
 def torus_characters(
     exponents: np.ndarray, seed: int, stream: int, samples: int, start: int, count: int
 ) -> np.ndarray:
     """Rows [start, start + count) of the (samples, terms) panel of z^alpha at
-    the torus draws of (seed, stream).
+    the torus draws of (seed, stream), memoized inside panel_scope.
 
     Only the variables some term uses are drawn: their counters, and so their
     words, are those of the full (samples, variables) draw, and an unused
-    variable contributes exponent 0, so the bytes are those of the full panel.
-    Inside panel_scope, the first panels drawn, up to _CHUNK_BUDGET entries in
-    all, are memoized whole and handed out as views (not to be written).  Rows
-    are pure functions of their counters, so a view and a fresh chunk agree
-    bit for bit."""
+    variable contributes exponent 0, so the bytes are those of the full panel."""
 
     def draw(lo: int, rows: int) -> np.ndarray:
         used = np.flatnonzero(exponents.any(axis=0))
         fractions = uniform_bits(seed, stream, rows, exponents.shape[1], lo, columns=used)
         return character_values(exponents[:, used], fractions)
 
-    memo = _PANELS.get()
     key = (exponents.tobytes(), exponents.shape, seed, stream, samples)
-    if memo is not None and key not in memo:
-        if sum(v.size for v in memo.values()) + samples * len(exponents) <= _CHUNK_BUDGET:
-            memo[key] = draw(0, samples)
-    if memo is None or key not in memo:  # no scope, or no room left in the memo
-        return draw(start, count)
-    return memo[key][start : start + count]
+    return _panel_rows(key, samples, len(exponents), draw, start, count)
+
+
+def grid_characters(
+    exponents: np.ndarray, sizes: Sequence[int], start: int, count: int
+) -> np.ndarray:
+    """Rows [start, start + count) of the (points, terms) panel of z^alpha at
+    the tensor grid of `sizes` (one size per column of `exponents`, C order,
+    the last variable fastest), memoized inside panel_scope."""
+    steps = [_U64(2**64 // g) for g in sizes]  # grid angles in 64-bit fixed point
+
+    def draw(lo: int, rows: int) -> np.ndarray:
+        index = np.arange(lo, lo + rows, dtype=np.uint64)
+        fractions = np.empty((rows, len(sizes)), dtype=np.uint64)
+        for j in reversed(range(len(sizes))):
+            fractions[:, j] = index % _U64(sizes[j]) * steps[j]
+            index //= _U64(sizes[j])
+        return character_values(exponents, fractions)
+
+    key = ("grid", exponents.tobytes(), exponents.shape, tuple(sizes))
+    return _panel_rows(key, math.prod(sizes), len(exponents), draw, start, count)
 
 
 class PowerMoments:
-    """Running sums of g^q over norm values g, one per power q, and of g^(2q)
-    in Monte Carlo mode, turned into Estimates of (E g^q)^(1/q).
+    """Running sums of g^q over norm values g, one per power q and column
+    group, turned into Estimates of (E g^q)^(1/q).
 
-    Every norm average reports through here, so there is one value rule,
-    mean^(1/q) or 0, and one delta-method stderr, sqrt(var / n) * value /
-    (q * mean) with var the unbiased variance of g^q.
+    Values come point-major: value i belongs to group i % groups, and each
+    group is averaged on its own.  In Monte Carlo mode
+    the sums of g^q - c and (g^q - c)^2 are kept too, c the first chunk's
+    mean, for the stderr alone: with c near the mean, the variance of nearly
+    constant norms does not cancel.  Every norm average reports through here,
+    so there is one value rule, mean^(1/q) or 0, and one delta-method stderr,
+    sqrt(var / n) * value / (q * mean) with var the unbiased variance of g^q.
     """
 
-    def __init__(self, powers: Sequence[float], mc: bool = False):
+    def __init__(self, powers: Sequence[float], mc: bool = False, groups: int = 1):
         self.powers = tuple(powers)
-        self.sums = [0.0] * len(self.powers)
-        self.squares = [0.0] * len(self.powers) if mc else None
-        self.count = 0
+        self.mc = mc
+        self.groups = groups
+        self.sums = np.zeros((len(self.powers), groups))
+        self.shifts = np.zeros_like(self.sums)
+        self.shifted = np.zeros_like(self.sums)
+        self.squares = np.zeros_like(self.sums)
+        self.count = 0  # values per group
 
     def add(self, g: np.ndarray) -> None:
         for i, q in enumerate(self.powers):
-            gq = g**q
-            self.sums[i] += float(gq.sum())
-            if self.squares is not None:
-                self.squares[i] += float((gq**2).sum())
-        self.count += g.size
+            gq = (g**q).reshape(-1, self.groups)
+            self.sums[i] += gq.sum(axis=0)
+            if self.mc:
+                if self.count == 0:
+                    self.shifts[i] = gq.mean(axis=0)
+                gq -= self.shifts[i]
+                self.shifted[i] += gq.sum(axis=0)
+                gq *= gq
+                self.squares[i] += gq.sum(axis=0)
+        self.count += g.size // self.groups
 
     def merge(self, other: "PowerMoments") -> None:
-        """Add the sums of another accumulator of the same powers (no squares)."""
-        for i, value in enumerate(other.sums):
-            self.sums[i] += value
+        """Add the sums of another accumulator of the same powers (not in
+        Monte Carlo mode)."""
+        self.sums += other.sums
         self.count += other.count
 
     def estimates(self, rough: "PowerMoments | None" = None) -> list[Estimate]:
-        """One Estimate per power: mc mode with the delta-method stderr when
-        squares are kept, else quadrature when `rough` holds the same sums
-        on a coarser grid (the gap between the two values is the error),
-        else exact."""
+        """One Estimate per power and group, power-major: mc mode with the
+        delta-method stderr in Monte Carlo mode, else quadrature when `rough`
+        holds the same sums on a coarser grid (the gap between the two values
+        is the error), else exact."""
         n = self.count
-        mode = (
-            MODE_MC if self.squares is not None
-            else MODE_QUADRATURE if rough is not None
-            else MODE_EXACT
-        )
+        mode = MODE_MC if self.mc else MODE_QUADRATURE if rough is not None else MODE_EXACT
         coarse = None if rough is None else rough.estimates()
         out = []
         for i, q in enumerate(self.powers):
-            mean = self.sums[i] / n
-            value = mean ** (1.0 / q) if mean > 0 else 0.0
-            stderr = 0.0
-            if self.squares is not None and n > 1 and mean > 0:
-                var = max(self.squares[i] / n - mean**2, 0.0) * n / (n - 1)
-                stderr = math.sqrt(var / n) * value / (q * mean)
-            quad_error = 0.0 if coarse is None else abs(value - coarse[i].value)
-            out.append(Estimate(value, stderr, n, mode, quad_error))
+            for k in range(self.groups):
+                mean = float(self.sums[i, k]) / n
+                value = mean ** (1.0 / q) if mean > 0 else 0.0
+                stderr = 0.0
+                if self.mc and n > 1 and mean > 0:
+                    shifted = float(self.shifted[i, k])
+                    var = max(float(self.squares[i, k]) - shifted * shifted / n, 0.0) / (n - 1)
+                    stderr = math.sqrt(var / n) * value / (q * mean)
+                quad_error = 0.0
+                if coarse is not None:
+                    quad_error = abs(value - coarse[i * self.groups + k].value)
+                out.append(Estimate(value, stderr, n, mode, quad_error))
         return out
 
 

@@ -229,10 +229,11 @@ def _coordinate_rule(space: SpaceSpec):
     return (lambda mags: mags**r), np.add, (lambda total: total ** (1.0 / r))
 
 
-def coordinate_norms(space: SpaceSpec, combos: np.ndarray) -> np.ndarray:
-    """Column norms of a (d, m) matrix under the space's norm."""
+def coordinate_norms(space: SpaceSpec, combos: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Norms under the space's norm of the vectors along `axis` of combos,
+    such as the columns of a (d, m) matrix."""
     term, combine, root = _coordinate_rule(space)
-    return root(combine.reduce(term(np.abs(combos)), axis=0))
+    return root(combine.reduce(term(np.abs(combos)), axis=axis))
 
 
 def coordinate_norms_of_rows(space: SpaceSpec, rows: Iterable[np.ndarray]) -> np.ndarray:
@@ -268,6 +269,18 @@ def _function_grid_sizes(max_exponents: Sequence[int], scale: float = 1) -> tupl
     return tuple(sizes)
 
 
+def family_grid_sizes(
+    space: FunctionLr, xs: Sequence[TrigPolynomial], grid_scale: float = 1
+) -> tuple[int, ...]:
+    """The quadrature grid of a family of L_r elements, sized for the union
+    of their supports."""
+    union_max = [0] * space.k
+    for poly in xs:
+        for j, e in enumerate(poly.max_abs_exponents()):
+            union_max[j] = max(union_max[j], e)
+    return _function_grid_sizes(union_max, grid_scale)
+
+
 def _grid_values(polys: Sequence[TrigPolynomial], sizes: Sequence[int]) -> np.ndarray:
     """(grid_points, n_polys) complex values on the tensor grid.
 
@@ -297,10 +310,20 @@ class CombinationEvaluator:
     norms(C) returns the column norms of sum_n C[n, m] * x_n.  Coordinate
     spaces use one (d, N) matrix; function spaces are pre-evaluated on the
     tensor quadrature grid sized for the union support (grid_scale doubles
-    it for refinement comparisons).
+    it for refinement comparisons).  With `patterns`, an (N, R) array of
+    signs, every column is taken under each pattern eps_k, as the norm of
+    sum_n eps_k[n] C[n, m] x_n: the R families eps_k x are stacked, so one
+    product evaluates them all, and column m under pattern k gives norm
+    m * R + k.
     """
 
-    def __init__(self, space: SpaceSpec, xs: Sequence[Element], grid_scale: float = 1):
+    def __init__(
+        self,
+        space: SpaceSpec,
+        xs: Sequence[Element],
+        grid_scale: float = 1,
+        patterns: np.ndarray | None = None,
+    ):
         if len(xs) == 0:
             raise DomainError("need at least one element")
         self.space = space
@@ -309,13 +332,14 @@ class CombinationEvaluator:
             self._matrix = np.column_stack(self.xs)
             self._grid = None
         else:
-            union_max = [0] * space.k
-            for poly in self.xs:
-                for j, e in enumerate(poly.max_abs_exponents()):
-                    union_max[j] = max(union_max[j], e)
-            sizes = _function_grid_sizes(union_max, grid_scale)
+            sizes = family_grid_sizes(space, self.xs, grid_scale)
             self._matrix = _grid_values(self.xs, sizes)
             self._grid = sizes
+        self.patterns = 1 if patterns is None else patterns.shape[1]
+        self._stacked = self._matrix
+        if patterns is not None:
+            stacked = patterns.T[:, None, :] * self._matrix[None, :, :]
+            self._stacked = stacked.reshape(-1, len(self.xs))
 
     @property
     def grid_points(self) -> int:
@@ -334,14 +358,17 @@ class CombinationEvaluator:
             raise ShapeError(
                 f"expected {len(self.xs)} coefficient rows, got {c.shape[0]}"
             )
-        values = self._matrix @ c
+        values = self._stacked @ c
+        shape = (self.patterns, -1, c.shape[1])  # (patterns, rows, columns)
         if self._grid is None:
-            return coordinate_norms(self.space, values)
-        r = self.space.r
-        mags = np.abs(values)
-        del values  # the complex values are the largest block: free them first
-        mags **= r
-        return mags.mean(axis=0) ** (1.0 / r)
+            norms = coordinate_norms(self.space, values.reshape(shape), axis=1)
+        else:
+            r = self.space.r
+            mags = np.abs(values)
+            del values  # the complex values are the largest block: free them first
+            mags **= r
+            norms = mags.reshape(shape).mean(axis=1) ** (1.0 / r)
+        return norms.T.reshape(-1)
 
 
 def _mirrored(values: np.ndarray) -> np.ndarray:
@@ -359,26 +386,32 @@ def combination_moments(
     powers: Sequence[float],
     mc: bool = False,
     mirrored: bool = False,
+    patterns: np.ndarray | None = None,
 ) -> list[Estimate]:
     """Estimates of (E g^q)^(1/q) for each q, g the norm of sum_n c_n x_n,
     sharing one pass over the multiplier columns c = draw(lo, n), lo in
     [0, count), a chunk at a time.
 
-    Chunks hold _PATTERN_CHUNK columns in a coordinate space, and
+    Chunks hold _PATTERN_CHUNK norms in a coordinate space, and
     _CHUNK_BUDGET grid values in a function space, where the same columns on
-    the half grid give the quadrature error.  With `mirrored` the columns
-    are sign patterns [0, count) of 2 * count: sums still run over chunks of
-    all the patterns in pattern order, so a single chunk is extended by its
-    reverse, and with several chunks the reverse of chunk c is chunk
-    C - 1 - c, whose sums are added after the evaluated ones.
+    the half grid give the quadrature error.  With `patterns`, an (N, R)
+    array of signs, every column is taken under each pattern (see
+    CombinationEvaluator), point-major, and each pattern's powers are summed
+    on their own: one Estimate per power and pattern, power-major.  With
+    `mirrored` the columns are sign patterns [0, count) of 2 * count: sums
+    still run over chunks of all the patterns in pattern order, so a single
+    chunk is extended by its reverse, and with several chunks the reverse of
+    chunk c is chunk C - 1 - c, whose sums are added after the evaluated ones.
     """
-    evaluators = [CombinationEvaluator(space, xs)]
-    moments = [PowerMoments(powers, mc)]
+    evaluators = [CombinationEvaluator(space, xs, patterns=patterns)]
+    groups = evaluators[0].patterns
+    moments = [PowerMoments(powers, mc, groups)]
     chunk = _PATTERN_CHUNK
     if not is_coordinate(space):
-        evaluators.append(CombinationEvaluator(space, xs, grid_scale=0.5))
-        moments.append(PowerMoments(powers))
+        evaluators.append(CombinationEvaluator(space, xs, grid_scale=0.5, patterns=patterns))
+        moments.append(PowerMoments(powers, groups=groups))
         chunk = max(1, _CHUNK_BUDGET // evaluators[0].grid_points)
+    chunk = max(1, chunk // groups)
     several = mirrored and 2 * count > chunk  # all the patterns span several chunks
     late = []  # (moments, reversed chunk's moments) of the mirrored chunks
     for lo in range(0, count, chunk):

@@ -415,3 +415,32 @@ def test_witness_command_evaluates_the_sign_average_once(tmp_path, monkeypatch):
         code, _, err = run_cli([command, "--input", fix("l2pair.json")])
         assert code == 0, err
         assert len(calls) == 1
+
+
+def test_ratio_cells_keep_monte_carlo_and_quadrature_errors_apart():
+    from dirichlet_ruc.cli import ratio_cells
+    from dirichlet_ruc.sampling import Estimate
+
+    num = Estimate(value=2.0, stderr=0.02, samples_used=100, mode="mc")
+    den = Estimate(value=4.0, mode="quadrature", quad_error=0.08)
+    cells = ratio_cells("r", num, den, 0.5)
+    assert cells["r_stderr"] == pytest.approx(0.5 * 0.01, rel=1e-15)
+    assert cells["r_quad_error"] == pytest.approx(0.5 * 0.02, rel=1e-15)
+    assert cells["r_mode"] == "mc"
+    both = Estimate(value=4.0, stderr=0.04, samples_used=100, mode="mc", quad_error=0.08)
+    cells = ratio_cells("r", num, both, 0.5)
+    assert cells["r_stderr"] == pytest.approx(0.5 * np.hypot(0.01, 0.01), rel=1e-15)
+    assert cells["r_quad_error"] == pytest.approx(0.5 * 0.02, rel=1e-15)
+    # A ratio taken on one grid pass brings its own quadrature error.
+    grid = Estimate(value=2.0, mode="quadrature", quad_error=0.1)
+    cells = ratio_cells("r", grid, grid, 1.0, quad_error=0.0)
+    assert (cells["r"], cells["r_stderr"], cells["r_quad_error"]) == (1.0, 0.0, 0.0)
+
+
+def test_single_coset_ratio_cells_read_exactly_one():
+    code, out, _ = run_cli(["ruc-ratio", "--input", fix("sup_summing3.json")])
+    assert code == 0
+    header, row = out.splitlines()[:2]
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert (cells["ratio"], cells["ratio_stderr"], cells["ratio_quad_error"]) == ("1.0", "0.0", "0.0")
+    assert cells["numerator"] == cells["denominator"]

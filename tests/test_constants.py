@@ -8,6 +8,7 @@ from dirichlet_ruc import (
     DomainError,
     Estimate,
     FunctionLr,
+    GridPolicy,
     HilbertSpace,
     SamplerConfig,
     SearchConfig,
@@ -34,6 +35,8 @@ from dirichlet_ruc import norm as space_norm
 from dirichlet_ruc import constants, sampling
 
 CFG = SamplerConfig(seed=13, samples=2000)
+# Refuses every quadrature grid, so hprad_norm takes its Monte Carlo route.
+NO_GRID = GridPolicy(max_points=0)
 
 
 def summing_family(m):
@@ -142,7 +145,7 @@ def _counting_character_values(monkeypatch):
 def test_search_shares_one_panel_and_leaves_no_memo(monkeypatch):
     calls = _counting_character_values(monkeypatch)
     family = summing_family(4)
-    cfg = SamplerConfig(seed=9, samples=700)
+    cfg = SamplerConfig(seed=9, samples=700, grid_policy=NO_GRID)
     # From all ones, 3 sweeps of step 1/8 never zero a coefficient: every one
     # of the 49 evaluations has the same 4-term support, so one panel.
     scfg = SearchConfig(restarts=1, iterations=3, initial_step=0.125)
@@ -161,7 +164,7 @@ def test_ruc_ratio_drops_memo_when_it_raises(monkeypatch):
     monkeypatch.setattr(constants, "hp_norm", negative_denominator)
     D = DirichletPolynomial(SupSpace(2), {2: [1, 0.5], 3: [0.25, 1]})
     with pytest.raises(UndefinedRatioError):
-        ruc_ratio(D, 1, CFG)
+        ruc_ratio(D, 1, SamplerConfig(seed=13, samples=2000, grid_policy=NO_GRID))
     assert seen == [1]  # hprad_norm's panel was memoized when the report failed
     assert sampling._PANELS.get() is None
     with pytest.raises(UndefinedRatioError):
@@ -172,7 +175,7 @@ def test_ruc_ratio_drops_memo_when_it_raises(monkeypatch):
 @pytest.mark.parametrize("p", [1.0, 3.0])
 def test_search_identical_with_panel_memo_bypassed(monkeypatch, p):
     family = [np.array(v) for v in ([1, 2j, 0], [0.5, -1, 1j], [1, 1, 1], [2, 0, -1j])]
-    cfg = SamplerConfig(seed=17, samples=900)
+    cfg = SamplerConfig(seed=17, samples=900, grid_policy=NO_GRID)
     scfg = SearchConfig(restarts=2, iterations=3)
     shared = ruc_constant_search(SupSpace(3), family, p, scfg, cfg)
     calls = _counting_character_values(monkeypatch)

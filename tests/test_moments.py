@@ -319,3 +319,25 @@ def test_quadrature_grid_is_drawn_a_chunk_at_a_time():
         tracemalloc.stop()
     assert (est.mode, est.samples_used) == ("quadrature", 1 << 18)
     assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("q", [1.0, 3.0])
+def test_monte_carlo_stderr_of_nearly_constant_norms_matches_two_pass(q):
+    # Norms 1.2732 +- 1.2e-4, as on tests/fixtures/function_l1.json: the
+    # one-pass variance squares / n - mean^2 lost about 8 digits (4.0e-8
+    # relative on that fixture); sums shifted by the first chunk's mean keep
+    # them.
+    rng = np.random.default_rng(7)
+    g = 1.2732 + 1.2e-4 * rng.standard_normal(500)
+    moments = PowerMoments([q], mc=True)
+    for lo, hi in ((0, 64), (64, 300), (300, 500)):
+        moments.add(g[lo:hi])
+    est = moments.estimates()[0]
+    gq = g**q
+    n = gq.size
+    mean = math.fsum(gq) / n
+    var = math.fsum((gq - mean) ** 2) / (n - 1)
+    value = mean ** (1.0 / q)
+    assert est.value == pytest.approx(value, rel=1e-14)
+    two_pass = math.sqrt(var / n) * value / (q * mean)
+    assert est.stderr == pytest.approx(two_pass, rel=1e-12, abs=0)

@@ -179,6 +179,18 @@ def _character_values_all_variables(exponents, fractions):
     return fixed_point_to_complex(acc)
 
 
+def _character_values_per_exponent(exponents, fractions):
+    """character_values as it was before the blocked engine: a fresh product
+    row for each nonzero exponent, added into a (terms, samples) sum that is
+    then copied transposed."""
+    angles = np.ascontiguousarray(fractions.T)
+    acc = np.zeros((exponents.shape[0], fractions.shape[0]), dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        for t, j in zip(*(axis.tolist() for axis in np.nonzero(exponents))):
+            acc[t] += angles[j] * np.uint64(int(exponents[t, j]) & ((1 << 64) - 1))
+    return fixed_point_to_complex(acc.T.copy())
+
+
 def _dense_torus_characters(exponents, seed, stream, samples, start, count):
     fractions = uniform_bits(seed, stream, count, exponents.shape[1], start)
     return _character_values_all_variables(exponents, fractions)
@@ -232,6 +244,44 @@ def test_character_values_match_all_variables_loop_bitwise(exps, seed, samples):
     assert got.dtype == np.complex128 and got.flags.c_contiguous
     assert got.shape == (samples, len(exps))
     assert got.tobytes() == _character_values_all_variables(exps, fractions).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    exps=exponent_matrices(),
+    seed=st.integers(0, 2**31),
+    samples=st.one_of(st.integers(0, 40), st.integers(sampling._BLOCK - 2, 2 * sampling._BLOCK + 2)),
+)
+def test_character_values_match_per_exponent_loop_bitwise(exps, seed, samples):
+    # uint64 sums are exact mod 2^64: blocks and a scratch row change no byte.
+    fractions = uniform_bits(seed, 1, samples, exps.shape[1])
+    got = character_values(exps, fractions)
+    assert got.tobytes() == _character_values_per_exponent(exps, fractions).tobytes()
+
+
+def test_character_values_allocates_nothing_of_panel_size(monkeypatch):
+    # Peak before the exponential: the angles, the words, and block-sized
+    # scratch (0.63 MiB above the first two here).  The per-exponent loop
+    # held a product row of the panel's length per exponent and a transposed
+    # copy of all the words (2.0 MiB above them).
+    exps = np.array([[1, 2, 0], [3, 0, 1], [0, 5, 7], [2, 2, 2]], dtype=np.int64)
+    fractions = uniform_bits(8, 1, 1 << 16, 3)
+    peaks = []
+    exponential = sampling.fixed_point_to_complex
+
+    def probe(words):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return exponential(words)
+
+    monkeypatch.setattr(sampling, "fixed_point_to_complex", probe)
+    tracemalloc.start()
+    try:
+        character_values(exps, fractions)
+    finally:
+        tracemalloc.stop()
+    words = fractions.shape[0] * len(exps) * 8
+    scratch = (len(exps) + 1) * sampling._BLOCK * 8
+    assert peaks[0] <= fractions.nbytes + words + scratch + 4096
 
 
 @settings(max_examples=40, deadline=None)
