@@ -17,10 +17,10 @@ import numpy as np
 
 from .bohr import PrimeAP, prime_ap_search
 from .dirichlet import (
-    DirichletPolynomial, dirichlet_kernel_l1, hp_norm, lift_arrays, scalar_polynomial
+    DirichletPolynomial, _lifted_hp_norm, dirichlet_kernel_l1, lift_arrays, scalar_polynomial
 )
 from .errors import DomainError, UndefinedRatioError
-from .randomized import _same_pass, hprad_norm, rademacher_average
+from .randomized import _HpradPlan, rademacher_average
 from .sampling import (
     MODE_EXACT,
     MODE_QUADRATURE,
@@ -39,6 +39,8 @@ from .spaces import (
     SpaceSpec,
     as_element,
     element_is_zero,
+    is_coordinate,
+    nonzero_elements,
     norm as space_norm,
     scale_element,
 )
@@ -75,6 +77,44 @@ class SearchConfig:
     def __post_init__(self):
         if self.restarts < 1 or self.iterations < 1:
             raise DomainError("restarts and iterations must be >= 1")
+        if not (math.isfinite(self.initial_step) and self.initial_step > 0):
+            raise DomainError("initial_step must be finite and > 0")
+        if not 0 < self.step_decay <= 1:
+            raise DomainError("step_decay must lie in (0, 1]")
+        if not (math.isfinite(self.min_step) and self.min_step >= 0):
+            raise DomainError("min_step must be finite and >= 0")
+
+
+class _RatioPlan:
+    """ruc_ratio of every family of nonzero elements on the support of D,
+    given in support order: hprad_norm's plan, and the instance string,
+    found once from D (see _HpradPlan for what each family must share
+    with D)."""
+
+    def __init__(self, D: DirichletPolynomial, p: float, cfg: SamplerConfig):
+        if D.is_zero():
+            raise UndefinedRatioError("zero polynomial")
+        self.D = D
+        self.hprad = _HpradPlan(D, p, cfg)
+        self.instance: str | None = None  # described once the first ratio stands
+
+    def evaluate(self, xs: list[Element]) -> RatioReport:
+        numerator, same = self.hprad.evaluate(xs)
+        if same is not None:
+            denominator, quad_error = same
+        else:
+            plan = self.hprad
+            denominator = _lifted_hp_norm(plan.space, xs, plan.exponents, plan.p, plan.cfg)
+            quad_error = None
+        if self.instance is None:
+            self.instance = describe_instance(self.D, self.hprad.p)
+        return RatioReport(
+            numerator=numerator,
+            denominator=denominator,
+            ratio=numerator.value / denominator.value,
+            instance=self.instance,
+            quad_error=quad_error,
+        )
 
 
 @panel_scope()  # numerator and denominator read one torus panel
@@ -86,19 +126,8 @@ def ruc_ratio(
     When hprad_norm takes its grid route, the denominator is the identity
     coset of the same pass, so a support whose sign patterns form a single
     coset has a ratio of exactly 1."""
-    cfg = cfg if cfg is not None else SamplerConfig()
-    if D.is_zero():
-        raise UndefinedRatioError("zero polynomial")
-    with _same_pass() as found:
-        numerator = hprad_norm(D, p, cfg)
-    denominator, quad_error = found[0] if found else (hp_norm(D, p, cfg), None)
-    return RatioReport(
-        numerator=numerator,
-        denominator=denominator,
-        ratio=numerator.value / denominator.value,
-        instance=describe_instance(D, p),
-        quad_error=quad_error,
-    )
+    plan = _RatioPlan(D, p, cfg if cfg is not None else SamplerConfig())
+    return plan.evaluate(plan.hprad.xs)
 
 
 def rud_ratio(
@@ -129,15 +158,6 @@ class SearchResult:
     report: RatioReport
 
 
-def _coefficient_polynomial(
-    space: SpaceSpec, vectors: Sequence[Element], a: np.ndarray
-) -> DirichletPolynomial:
-    terms = {
-        n + 1: scale_element(x, a[n]) for n, x in enumerate(vectors) if a[n] != 0
-    }
-    return DirichletPolynomial(space, terms)
-
-
 def _sup_normalize(a: np.ndarray) -> np.ndarray:
     top = np.abs(a).max()
     return a if top == 0 else a / top
@@ -156,7 +176,10 @@ def ruc_constant_search(
     Random restarts + coordinate-wise compass moves on magnitude and phase,
     all evaluated with the same sampler seed (common random numbers).  The
     best ratio found is a lower bound on the true constant; ties keep the
-    incumbent, and the all-ones start is always evaluated first.
+    incumbent, and the all-ones start is always evaluated first.  Each
+    support is lifted and routed once: its ratio plan is kept for every
+    candidate on it, so the reports are those of ruc_ratio bit for bit.  A
+    candidate equal to the incumbent's coefficients is not evaluated again.
     """
     search_cfg = search_cfg if search_cfg is not None else SearchConfig()
     cfg = cfg if cfg is not None else SamplerConfig()
@@ -164,13 +187,25 @@ def ruc_constant_search(
     if not elements or all(element_is_zero(x) for x in elements):
         raise DomainError("need at least one nonzero vector")
     n = len(elements)
+    plans: dict[tuple, _RatioPlan] = {}
 
     def evaluate(a: np.ndarray) -> RatioReport | None:
-        a = _sup_normalize(a)
-        D = _coefficient_polynomial(space, elements, a)
-        if D.is_zero():
+        """The report of sup-normalized coefficients a, or None when the
+        polynomial is zero."""
+        indices = np.flatnonzero(a)
+        xs = [scale_element(elements[i], a[i]) for i in indices]
+        keep = nonzero_elements(space, xs)  # DirichletPolynomial.support's rule
+        xs = [x for x, nonzero in zip(xs, keep) if nonzero]
+        ns = [int(i) + 1 for i in indices[keep]]
+        if not ns:
             return None
-        return ruc_ratio(D, p, cfg)
+        # A scaled L_r element keeps its exponents unless a coefficient
+        # underflows to 0; its inner grid is part of the route.
+        key = (tuple(ns), None if is_coordinate(space) else tuple(x.max_abs_exponents() for x in xs))
+        plan = plans.get(key)
+        if plan is None:
+            plan = plans[key] = _RatioPlan(DirichletPolynomial(space, dict(zip(ns, xs))), p, cfg)
+        return plan.evaluate(xs)
 
     def restart_point(index: int) -> np.ndarray:
         if index == 0:
@@ -184,7 +219,8 @@ def ruc_constant_search(
     best: RatioReport | None = None
     for restart in range(search_cfg.restarts):
         a = _sup_normalize(restart_point(restart))
-        incumbent = evaluate(a)
+        evaluated = _sup_normalize(a)  # the coefficients the incumbent's report is of
+        incumbent = evaluate(evaluated)
         if incumbent is None:
             continue
         step = search_cfg.initial_step
@@ -202,9 +238,12 @@ def ruc_constant_search(
                 for new_mag, new_phase in moves:
                     candidate = a.copy()
                     candidate[i] = new_mag * complex(math.cos(new_phase), math.sin(new_phase))
+                    candidate = _sup_normalize(candidate)
+                    if candidate.tobytes() == evaluated.tobytes():
+                        continue  # a move clipped at 0 or 1: the incumbent's report, no gain
                     report = evaluate(candidate)
                     if report is not None and report.ratio > incumbent.ratio:
-                        a = _sup_normalize(candidate)
+                        a = evaluated = candidate
                         incumbent = report
                         improved = True
             if not improved:

@@ -37,6 +37,8 @@ from .spaces import (
     closed_form,
     combination_moments,
     element_is_zero,
+    grid_moments,
+    nonzero_elements,
     scale_element,
     zero_element,
 )
@@ -61,7 +63,9 @@ class DirichletPolynomial:
         object.__setattr__(self, "terms", checked)
 
     def support(self) -> list[int]:
-        return sorted(n for n, x in self.terms.items() if not element_is_zero(x))
+        ns = list(self.terms)
+        keep = nonzero_elements(self.space, [self.terms[n] for n in ns])
+        return sorted(n for n, nonzero in zip(ns, keep) if nonzero)
 
     def nonzero_terms(self) -> list[tuple[int, Element]]:
         return [(n, self.terms[n]) for n in self.support()]
@@ -150,6 +154,15 @@ def _grid_sizes(exponents: np.ndarray, policy: GridPolicy):
     return used, fine, [max(g // 2, 1) for g in fine]
 
 
+def _half_points(fine: Sequence[int], half: Sequence[int]) -> np.ndarray:
+    """Mask over the points of the grid of `fine` (C order) marking those of
+    its half grid: half point i is fine point i * (fine // half) in each
+    variable, whose fixed-point angle words are the same."""
+    mask = np.zeros(fine, dtype=bool)
+    mask[tuple(slice(None, None, f // h) for f, h in zip(fine, half))] = True
+    return mask.reshape(-1)
+
+
 def _grid_columns(exponents: np.ndarray, sizes: Sequence[int]):
     """draw(lo, n) giving the multipliers z^E[t] at points [lo, lo + n) of the
     tensor grid of `sizes` as columns."""
@@ -179,9 +192,8 @@ def _polytorus_norm(
         used, sizes, halves = _grid_sizes(exponents, policy)
         points = math.prod(sizes)
         if points <= policy.max_points:
-            fine, rough = (
-                combination_moments(space, xs, _grid_columns(used, grid), math.prod(grid), [p])[0]
-                for grid in (sizes, halves)
+            (fine,), (rough,) = grid_moments(
+                space, xs, _grid_columns(used, sizes), _half_points(sizes, halves), [p]
             )
             return Estimate(  # the outer grid's gap, plus a function space's inner one
                 value=fine.value,
@@ -233,11 +245,23 @@ def hp_norm(
     default "auto" follows the selection rules.
     """
     xs, exps, _ = lift_arrays(D)
-    closed = _closed_form(D.space, xs, exps, p, method)
+    return _lifted_hp_norm(D.space, xs, exps, p, cfg, method)
+
+
+def _lifted_hp_norm(
+    space: SpaceSpec,
+    xs: list[Element],
+    exponents: np.ndarray,
+    p: float,
+    cfg: SamplerConfig | None,
+    method: str = "auto",
+) -> Estimate:
+    """hp_norm of the lift (xs, exponents) of a polynomial."""
+    closed = _closed_form(space, xs, exponents, p, method)
     if closed is not None:
         return closed
     cfg = cfg if cfg is not None else SamplerConfig()
-    return _polytorus_norm(D.space, xs, exps, p, cfg, method)
+    return _polytorus_norm(space, xs, exponents, p, cfg, method)
 
 
 def circle_hp_norm(

@@ -15,13 +15,13 @@ sampling is counter-based: identical configs give identical Estimates.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .dirichlet import DirichletPolynomial, _grid_columns, _grid_sizes, lift_arrays
+from .dirichlet import (
+    DirichletPolynomial, _grid_columns, _grid_sizes, _half_points, lift_arrays
+)
 from .errors import DomainError, UndefinedRatioError
 from .sampling import (
     MODE_MC,
@@ -54,7 +54,9 @@ from .spaces import (
     coordinate_norms_of_rows,
     element_is_zero,
     family_grid_sizes,
+    grid_moments,
     is_coordinate,
+    is_hilbertian,
 )
 
 
@@ -295,37 +297,20 @@ class _SamePass(NamedTuple):
     ratio_quad_error: float
 
 
-_SAME_PASS: ContextVar[list | None] = ContextVar("dirichlet_ruc_same_pass", default=None)
-
-
-@contextmanager
-def _same_pass() -> Iterator[list]:
-    """Inside the block, a grid-route hprad_norm appends its _SamePass to the
-    yielded list."""
-    found: list = []
-    token = _SAME_PASS.set(found)
-    try:
-        yield found
-    finally:
-        _SAME_PASS.reset(token)
-
-
 def _grid_hprad(
     space: SpaceSpec, xs: list[Element], route: tuple, p: float
 ) -> tuple[Estimate, _SamePass]:
     """hprad_norm on the grid route: per coset pattern, the grid average of
-    g^p on the grid and on its half grid; the value is the mean over cosets
-    of its p-th root, and its error the gap between the two grids."""
+    g^p on the grid and on its half grid, read from one pass over the grid;
+    the value is the mean over cosets of its p-th root, and its error the
+    gap between the two grids."""
     used, fine, half, signs = route
-    values, inner = [], []  # per grid: (numerator, plain norm), and their inner errors
-    for sizes in (fine, half):
-        estimates = combination_moments(
-            space, xs, _grid_columns(used, sizes), math.prod(sizes), [p], patterns=signs
-        )
-        values.append((float(np.mean([e.value for e in estimates])), estimates[0].value))
-        inner.append((float(np.mean([e.quad_error for e in estimates])), estimates[0].quad_error))
-    (num, den), (num_half, den_half) = values
-    num_inner, den_inner = inner[0]
+    columns = _grid_columns(used, fine)
+    grid, rough = grid_moments(space, xs, columns, _half_points(fine, half), [p], patterns=signs)
+    num = float(np.mean([e.value for e in grid]))
+    num_half = float(np.mean([e.value for e in rough]))
+    num_inner = float(np.mean([e.quad_error for e in grid]))
+    den, den_half, den_inner = grid[0].value, rough[0].value, grid[0].quad_error
     points = math.prod(fine)
     numerator = Estimate(
         num, samples_used=points, mode=MODE_QUADRATURE, quad_error=abs(num - num_half) + num_inner
@@ -349,6 +334,37 @@ def _coordinate_rows(
         yield row
 
 
+class _HpradPlan:
+    """hprad_norm of every family of nonzero elements on the support of D,
+    given in support order: the lift, the closed-form check and the route,
+    found once from D.  A function space's route also depends on the
+    family's inner grid, so every family evaluated must have D's.  Grid
+    characters come from the panel memo of an open panel_scope."""
+
+    def __init__(self, D: DirichletPolynomial, p: float, cfg: SamplerConfig):
+        if p < 1:
+            raise DomainError("p must be >= 1")
+        self.space, self.p, self.cfg = D.space, p, cfg
+        self.xs, self.exponents, _ = lift_arrays(D)
+        m = len(self.xs)
+        # closed_form's cases for nonzero elements: none or one, or Parseval
+        self.closed = m <= 1 or (p == 2 and is_hilbertian(self.space))
+        self.route = None
+        if not self.closed:
+            _, evaluated, exact, _ = _sign_rule(m, cfg, min(4096, cfg.samples), STREAM_OUTER_SIGNS)
+            if exact:
+                self.route = _grid_route(self.space, self.xs, self.exponents, cfg, evaluated)
+
+    def evaluate(self, xs: list[Element]) -> tuple[Estimate, _SamePass | None]:
+        """(hprad_norm, and on the grid route the identity coset's plain norm
+        and the ratio's quadrature error)."""
+        if self.closed:
+            return closed_form(self.space, xs, self.p), None
+        if self.route is not None:
+            return _grid_hprad(self.space, xs, self.route, self.p)
+        return _mc_hprad(self.space, xs, self.exponents, self.p, self.cfg), None
+
+
 def hprad_norm(
     D: DirichletPolynomial, p: float, cfg: SamplerConfig | None = None
 ) -> Estimate:
@@ -364,34 +380,27 @@ def hprad_norm(
     (common random numbers); the stderr combines 10-block panel resampling
     with pattern-sampling variance and is approximate.
     """
-    if p < 1:
-        raise DomainError("p must be >= 1")
-    cfg = cfg if cfg is not None else SamplerConfig()
-    xs, exps, _ = lift_arrays(D)
-    closed = closed_form(D.space, xs, p)
-    if closed is not None:
-        return closed
+    plan = _HpradPlan(D, p, cfg if cfg is not None else SamplerConfig())
+    return plan.evaluate(plan.xs)[0]
 
+
+def _mc_hprad(
+    space: SpaceSpec, xs: list[Element], exps: np.ndarray, p: float, cfg: SamplerConfig
+) -> Estimate:
+    """hprad_norm off the grid route: one torus panel for every sign pattern."""
     m = len(xs)
     draw, evaluated, exact_outer, mirrored = _sign_rule(
         m, cfg, min(4096, cfg.samples), STREAM_OUTER_SIGNS
     )
-    route = _grid_route(D.space, xs, exps, cfg, evaluated) if exact_outer else None
-    if route is not None:
-        numerator, same = _grid_hprad(D.space, xs, route, p)
-        found = _SAME_PASS.get()
-        if found is not None:
-            found.append(same)
-        return numerator
     patterns = evaluated << mirrored  # the negated half is mirrored in below
     signs = np.ascontiguousarray(draw(0, evaluated), dtype=np.complex128)  # F order would switch BLAS rounding
 
     samples = cfg.samples
-    evaluator = CombinationEvaluator(D.space, xs)
+    evaluator = CombinationEvaluator(space, xs)
     blocks = min(10, samples)
     bounds = [-(-b * samples // blocks) for b in range(blocks + 1)]  # contiguous blocks
 
-    coordinate = is_coordinate(D.space)
+    coordinate = is_coordinate(space)
     if coordinate:
         matrix = evaluator.matrix  # (d, m)
         d = matrix.shape[0]
@@ -409,10 +418,10 @@ def hprad_norm(
         if coordinate:
             if count > 1 and d > 1:  # one gemm per coordinate, reduced as it arrives
                 rows = _coordinate_rows(mult, matrix, signs, buffer)
-                g = coordinate_norms_of_rows(D.space, rows)
+                g = coordinate_norms_of_rows(space, rows)
             else:  # numpy would call gemv, which rounds unlike gemm: per-sample gemms
                 combos = np.moveaxis((mult[:, None, :] * matrix[None, :, :]) @ signs, 1, 0)
-                g = coordinate_norms(D.space, combos.reshape(d, -1))  # (count * patterns,)
+                g = coordinate_norms(space, combos.reshape(d, -1))  # (count * patterns,)
         else:  # every (sample, pattern) coefficient column, sample-major
             g = evaluator.norms((mult.T[:, :, None] * signs[:, None, :]).reshape(m, -1))
         gp = (g**p).reshape(count, -1)

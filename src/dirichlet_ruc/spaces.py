@@ -199,6 +199,14 @@ def element_is_zero(x: Element) -> bool:
     return bool(np.all(x == 0))
 
 
+def nonzero_elements(space: SpaceSpec, xs: Sequence[Element]) -> np.ndarray:
+    """Which of xs are nonzero, by element_is_zero's rule: for coordinate
+    elements one test over their stacked rows."""
+    if is_coordinate(space) and len(xs):
+        return (np.stack(xs) != 0).any(axis=1)
+    return np.array([not element_is_zero(x) for x in xs], dtype=bool)
+
+
 def scale_element(x: Element, c: complex) -> Element:
     return c * x if isinstance(x, TrigPolynomial) else np.asarray(x) * c
 
@@ -403,6 +411,42 @@ def combination_moments(
     chunk is extended by its reverse, and with several chunks the reverse of
     chunk c is chunk C - 1 - c, whose sums are added after the evaluated ones.
     """
+    moments, _ = _moment_pass(space, xs, draw, count, powers, mc, mirrored, patterns)
+    return moments[0].estimates(moments[1] if len(moments) > 1 else None)
+
+
+def grid_moments(
+    space: SpaceSpec,
+    xs: Sequence[Element],
+    draw: Callable[[int, int], np.ndarray],
+    coarse: np.ndarray,
+    powers: Sequence[float],
+    patterns: np.ndarray | None = None,
+) -> tuple[list[Estimate], list[Estimate]]:
+    """combination_moments over the points of a tensor grid, draw(lo, n)
+    giving points [lo, lo + n), and over the coarser grid whose points the
+    boolean mask `coarse` marks among them, from one pass: the coarse
+    grid's norms are read out of the fine grid's chunks, and summed in the
+    chunks a pass of their own would take, so its Estimates (values alone)
+    are those of such a pass bit for bit."""
+    moments, rough = _moment_pass(space, xs, draw, coarse.size, powers, patterns=patterns, coarse=coarse)
+    return moments[0].estimates(moments[1] if len(moments) > 1 else None), rough.estimates()
+
+
+def _moment_pass(
+    space: SpaceSpec,
+    xs: Sequence[Element],
+    draw: Callable[[int, int], np.ndarray],
+    count: int,
+    powers: Sequence[float],
+    mc: bool = False,
+    mirrored: bool = False,
+    patterns: np.ndarray | None = None,
+    coarse: np.ndarray | None = None,
+) -> tuple[list[PowerMoments], PowerMoments | None]:
+    """The one chunk loop of combination_moments and grid_moments: the
+    power sums of the first evaluator's norms (and of a function space's
+    half inner grid), and of the coarse columns' norms under the first."""
     evaluators = [CombinationEvaluator(space, xs, patterns=patterns)]
     groups = evaluators[0].patterns
     moments = [PowerMoments(powers, mc, groups)]
@@ -412,12 +456,20 @@ def combination_moments(
         moments.append(PowerMoments(powers, groups=groups))
         chunk = max(1, _CHUNK_BUDGET // evaluators[0].grid_points)
     chunk = max(1, chunk // groups)
+    rough = None if coarse is None else PowerMoments(powers, groups=groups)
+    picked = np.empty((0, groups))  # coarse columns' norms not summed yet
     several = mirrored and 2 * count > chunk  # all the patterns span several chunks
     late = []  # (moments, reversed chunk's moments) of the mirrored chunks
     for lo in range(0, count, chunk):
-        block = draw(lo, min(chunk, count - lo))
+        n = min(chunk, count - lo)
+        block = draw(lo, n)
         for evaluator, acc in zip(evaluators, moments):
             g = evaluator.norms(block)
+            if rough is not None and acc is moments[0]:
+                picked = np.concatenate([picked, g.reshape(n, groups)[coarse[lo : lo + n]]])
+                while len(picked) >= chunk:  # a chunk of the coarse grid's own pass
+                    rough.add(picked[:chunk].reshape(-1))
+                    picked = picked[chunk:]
             if several:
                 tail = PowerMoments(powers)
                 tail.add(g[::-1].copy())  # a strided power may round unlike a contiguous one
@@ -425,9 +477,11 @@ def combination_moments(
             elif mirrored:
                 g = _mirrored(g)
             acc.add(g)
+    if len(picked):
+        rough.add(picked.reshape(-1))
     for acc, tail in reversed(late):
         acc.merge(tail)
-    return moments[0].estimates(moments[1] if len(moments) > 1 else None)
+    return moments, rough
 
 
 def norm(space: SpaceSpec, x) -> Estimate:

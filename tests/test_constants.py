@@ -157,11 +157,11 @@ def test_search_shares_one_panel_and_leaves_no_memo(monkeypatch):
 def test_ruc_ratio_drops_memo_when_it_raises(monkeypatch):
     seen = []
 
-    def negative_denominator(D, p, cfg):
+    def negative_denominator(space, xs, exponents, p, cfg):
         seen.append(len(sampling._PANELS.get()))
         return Estimate(value=-1.0)
 
-    monkeypatch.setattr(constants, "hp_norm", negative_denominator)
+    monkeypatch.setattr(constants, "_lifted_hp_norm", negative_denominator)
     D = DirichletPolynomial(SupSpace(2), {2: [1, 0.5], 3: [0.25, 1]})
     with pytest.raises(UndefinedRatioError):
         ruc_ratio(D, 1, SamplerConfig(seed=13, samples=2000, grid_policy=NO_GRID))
@@ -184,6 +184,22 @@ def test_search_identical_with_panel_memo_bypassed(monkeypatch, p):
     assert len(calls) > 20
     assert shared.coefficients.tobytes() == fresh.coefficients.tobytes()
     assert shared.report == fresh.report
+
+
+@pytest.mark.parametrize(
+    "field, bad, good",
+    [
+        ("initial_step", [math.inf, math.nan, 0.0, -0.5], [1e-300, 0.5, 4.0]),
+        ("step_decay", [0.0, -0.5, 1.0 + 2**-52, math.inf, math.nan], [1e-300, 0.5, 1.0]),
+        ("min_step", [-1e-300, math.inf, -math.inf, math.nan], [0.0, 1e-3, 2.0]),
+    ],
+)
+def test_search_config_rejects_steps_the_loop_cannot_take(field, bad, good):
+    for value in bad:
+        with pytest.raises(DomainError, match=field):
+            SearchConfig(**{field: value})
+    for value in good:
+        assert getattr(SearchConfig(**{field: value}), field) == value
 
 
 def test_search_rejects_degenerate():

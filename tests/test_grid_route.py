@@ -227,7 +227,7 @@ STEP_CFG = SearchConfig(restarts=1, iterations=3, initial_step=0.125)
 def test_search_builds_each_grid_once_and_leaves_no_memo(monkeypatch):
     calls = _counting_character_values(monkeypatch)
     result = ruc_constant_search(SupSpace(4), SUMMING4, 1, STEP_CFG, SamplerConfig(seed=9, samples=700))
-    assert calls == [256, 64]  # the grid and its half grid, once each
+    assert calls == [256]  # the grid once; the half grid is read from its pass
     assert result.report.numerator.mode == "quadrature"
     assert sampling._PANELS.get() is None
 
@@ -243,7 +243,7 @@ def test_grid_route_memo_is_dropped_when_the_ratio_raises(monkeypatch):
     D = DirichletPolynomial(SupSpace(4), {n + 1: x for n, x in enumerate(SUMMING4)})
     with pytest.raises(RuntimeError):
         ruc_ratio(D, 1, SamplerConfig(seed=9, samples=700))
-    assert seen == [2]  # the grid and half grid panels were memoized
+    assert seen == [1]  # the grid panel was memoized (the half grid is read from it)
     assert sampling._PANELS.get() is None
 
 
