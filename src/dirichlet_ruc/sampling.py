@@ -84,12 +84,21 @@ class GridPolicy:
     """Per-variable quadrature grid sizing: factor * max|exponent|, floored.
 
     Sizes are rounded up to powers of two so grid angles embed exactly in
-    the 64-bit fixed-point representation.
+    the 64-bit fixed-point representation.  min_size >= 3 gives every
+    variable at least 4 points, so the half grid that the reported error
+    compares against has at least 2: a grid of 1 point has no fixed-point
+    step, and on one of 2 every character is +-1, so a 1-point half grid
+    reads the same sign-pattern mean and reports an error of 0.
+    max_points = 0 refuses every grid.
     """
 
     factor: int = 4
     min_size: int = 16
     max_points: int = 1 << 21
+
+    def __post_init__(self):
+        if self.factor < 1 or self.min_size < 3 or self.max_points < 0:
+            raise DomainError("grid policy needs factor >= 1, min_size >= 3 and max_points >= 0")
 
     def size_for(self, max_abs_exponent: int) -> int:
         raw = max(self.factor * int(max_abs_exponent), self.min_size)

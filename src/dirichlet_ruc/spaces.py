@@ -379,6 +379,29 @@ class CombinationEvaluator:
         return norms.T.reshape(-1)
 
 
+def _sign_chunks(matrix: np.ndarray, first: np.ndarray, count: int):
+    """matrix @ patterns, chunk by chunk, for sign patterns [0, count) of the
+    m columns x_k of `matrix`, given the first chunk of 2^b patterns: pattern
+    i is column i of the (m, 2^m) matrix whose entry (k, i) is +1 where bit k
+    of i is set, else -1, and a chunk holds 2^b consecutive patterns.
+
+    Within a chunk the low b bits take every value in order and the high bits
+    are fixed, so every chunk is U = X[:, :b] @ S_b, one gemm for all of them,
+    plus +-x_k for k = b, ..., m - 1, added one at a time in index order.
+    A sign times x is exact, so each sum is the gemm's own when the BLAS
+    kernel accumulates its inner dimension in order (see the README).  The
+    chunks are yielded in one buffer, each overwriting the last."""
+    chunk = first.shape[1]
+    low = chunk.bit_length() - 1
+    base = matrix[:, :low] @ first[:low]
+    out = np.empty_like(base)
+    for lo in range(0, count, chunk):
+        for k in range(low, matrix.shape[1]):
+            add = np.add if lo >> k & 1 else np.subtract
+            add(base if k == low else out, matrix[:, k, None], out=out)
+        yield out
+
+
 def _mirrored(values: np.ndarray) -> np.ndarray:
     """Values over sign patterns [0, 2h), given those over [0, h) on the last
     axis, where 2h = 2^m: pattern 2^m - 1 - i negates pattern i, and
@@ -395,6 +418,7 @@ def combination_moments(
     mc: bool = False,
     mirrored: bool = False,
     patterns: np.ndarray | None = None,
+    signs: bool = False,
 ) -> list[Estimate]:
     """Estimates of (E g^q)^(1/q) for each q, g the norm of sum_n c_n x_n,
     sharing one pass over the multiplier columns c = draw(lo, n), lo in
@@ -410,8 +434,11 @@ def combination_moments(
     still run over chunks of all the patterns in pattern order, so a single
     chunk is extended by its reverse, and with several chunks the reverse of
     chunk c is chunk C - 1 - c, whose sums are added after the evaluated ones.
+    With `signs` the columns are the sign patterns of _sign_chunks, lo the
+    first pattern's index; in a coordinate space whose columns span several
+    chunks, only the first chunk is drawn (see _sign_chunks).
     """
-    moments, _ = _moment_pass(space, xs, draw, count, powers, mc, mirrored, patterns)
+    moments, _ = _moment_pass(space, xs, draw, count, powers, mc, mirrored, patterns, signs)
     return moments[0].estimates(moments[1] if len(moments) > 1 else None)
 
 
@@ -442,6 +469,7 @@ def _moment_pass(
     mc: bool = False,
     mirrored: bool = False,
     patterns: np.ndarray | None = None,
+    signs: bool = False,
     coarse: np.ndarray | None = None,
 ) -> tuple[list[PowerMoments], PowerMoments | None]:
     """The one chunk loop of combination_moments and grid_moments: the
@@ -460,11 +488,14 @@ def _moment_pass(
     picked = np.empty((0, groups))  # coarse columns' norms not summed yet
     several = mirrored and 2 * count > chunk  # all the patterns span several chunks
     late = []  # (moments, reversed chunk's moments) of the mirrored chunks
+    summed = None  # the chunks' combinations, when built from the first chunk's
+    if signs and is_coordinate(space) and patterns is None and count > chunk:
+        summed = _sign_chunks(evaluators[0].matrix, draw(0, chunk), count)
     for lo in range(0, count, chunk):
         n = min(chunk, count - lo)
-        block = draw(lo, n)
+        block = None if summed is not None else draw(lo, n)
         for evaluator, acc in zip(evaluators, moments):
-            g = evaluator.norms(block)
+            g = evaluator.norms(block) if summed is None else coordinate_norms(space, next(summed))
             if rough is not None and acc is moments[0]:
                 picked = np.concatenate([picked, g.reshape(n, groups)[coarse[lo : lo + n]]])
                 while len(picked) >= chunk:  # a chunk of the coarse grid's own pass

@@ -101,6 +101,17 @@ def test_malformed_fixtures_exit_2(fixture):
     assert "error:" in err
 
 
+def test_grid_policy_below_the_smallest_grid_exits_2(tmp_path):
+    problem = json.loads((FIXTURES / "sup_summing3.json").read_text())
+    problem["sampler"]["grid"] = {"factor": 1, "min_size": 2}  # valid under schema v1
+    path = tmp_path / "min_size_2.json"
+    path.write_text(json.dumps(problem))
+    for command in ("hprad-norm", "ruc-ratio"):
+        code, out, err = run_cli([command, "--input", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "min_size >= 3" in err and "Traceback" not in err
+
+
 def test_validation_error_pointers():
     with pytest.raises(ValidationError) as info:
         parse_problem((FIXTURES / "bad_duplicate.json").read_bytes())

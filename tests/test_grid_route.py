@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from dirichlet_ruc import (
     DirichletPolynomial,
+    DomainError,
     FunctionLr,
     GridPolicy,
     SamplerConfig,
@@ -277,3 +278,30 @@ def test_grid_ratio_agrees_with_monte_carlo_ratio():
     )
     slack = 4 * mc.ratio * relative + 2 * grid.quad_error
     assert abs(grid.ratio - mc.ratio) <= slack
+
+
+# {1, 2, 3, 4} uses one variable with exponents up to 2 and one with exponent 1.
+SMALL_GRID_FAMILY = {1: [1, 0, 0], 2: [1, 1, 0], 3: [1, 1, 1], 4: [0.5, -1, 1j]}
+
+
+@pytest.mark.parametrize(
+    "factor, min_size, max_points", [(1, 1, 1 << 21), (1, 2, 1 << 21), (0, 16, 1 << 21), (4, 16, -1)]
+)
+def test_grid_policy_refuses_grids_that_crash_or_report_no_error(factor, min_size, max_points):
+    # min_size 1 gave a 1-point grid, whose fixed-point step overflowed; 2 gave
+    # a 2-point grid whose 1-point half grid reported a quad_error of 0.
+    with pytest.raises(DomainError):
+        GridPolicy(factor=factor, min_size=min_size, max_points=max_points)
+
+
+def test_smallest_grid_policy_reports_a_quadrature_error():
+    D = DirichletPolynomial(SupSpace(3), SMALL_GRID_FAMILY)
+    policy = GridPolicy(factor=1, min_size=3)
+    assert _grid_sizes(lift_arrays(D)[1], policy)[1:] == ([4, 4], [2, 2])
+    assert GridPolicy(max_points=0).max_points == 0  # refusing every grid stays valid
+    cfg = SamplerConfig(seed=3, samples=4000, grid_policy=policy)
+    for p in (1.0, 3.0):
+        ratio = ruc_ratio(D, p, cfg)
+        for est in (hprad_norm(D, p, cfg), hp_norm(D, p, cfg, method="quadrature"), ratio.numerator):
+            assert est.mode == "quadrature" and est.samples_used == 16 and est.quad_error > 0, p
+        assert ratio.quad_error > 0

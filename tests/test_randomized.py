@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirichlet_ruc import (
     DirichletPolynomial,
@@ -356,25 +358,88 @@ def test_sign_averages_mirror_many_small_chunks_bitwise(space, monkeypatch):
 )
 def test_sign_moments_evaluate_half_of_the_patterns(m, ranges, monkeypatch):
     evaluated = []
+    columns = []  # norms taken per call, over both passes
     sign_patterns = randomized._sign_patterns
+    norms = spaces.coordinate_norms
 
     def recorded(m, lo, hi):
         evaluated.append((lo, hi))
         return sign_patterns(m, lo, hi)
 
+    def counted(space, combos, axis=0):
+        columns.append(combos.shape[-1])
+        return norms(space, combos, axis)
+
     monkeypatch.setattr(randomized, "_sign_patterns", recorded)
+    monkeypatch.setattr(spaces, "coordinate_norms", counted)
     rng = np.random.default_rng(523)
     space = SequenceSpace(3.0, 2)
     xs = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(m)]
     a = rng.random(m) * np.exp(2j * math.pi * rng.random(m))
     cfg = SamplerConfig(seed=1, samples=64, exact_cutoff=m)
     report = contraction_check(xs, a, space, cfg)
-    assert evaluated == ranges * 2  # scaled, then plain patterns
+    # The scaled patterns are drawn chunk by chunk; of the plain ones only the
+    # first chunk is, and the others are built from it (spaces._sign_chunks).
+    assert evaluated == ranges + ranges[:1]
+    assert columns == [hi - lo for lo, hi in ranges] * 2  # half of the 2^m patterns per pass
     assert (report.lhs.mode, report.lhs.samples_used) == ("exact", 1 << m)
     assert report.lhs.value == _sign_moments_full_enumeration(space, xs, a, [1.0])[0][0]
     assert report.rhs.value == (
         _sign_moments_full_enumeration(space, xs, None, [1.0])[0][0] * (math.pi / 2)
     )
+
+
+PROPERTY_SPACES = [
+    space(d)
+    for d in (2, 8, 16)
+    for space in (SupSpace, lambda d: SequenceSpace(1.0, d), lambda d: SequenceSpace(3.0, d), HilbertSpace)
+]
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    space=st.sampled_from(PROPERTY_SPACES),
+    m=st.integers(12, 17),  # 13 low bits: m >= 15 builds chunks from the first
+    p=st.sampled_from([1.0, 3.0]),
+    seed=st.integers(0, 2**32 - 1),
+    order=st.randoms(use_true_random=False),
+)
+def test_exact_sign_kernels_match_full_enumeration_and_ignore_term_order(space, m, p, seed, order):
+    rng = np.random.default_rng(seed)
+    xs = _vector_family(space, m, rng)
+    cfg = SamplerConfig(seed=1, samples=64)
+    rad = rademacher_average(xs, space, p, cfg)
+    (value, _), (mean, _) = _sign_moments_full_enumeration(space, xs, None, [p, 1.0])
+    assert rad.value == value
+    assert kahane_ratio(xs, space, p, cfg) == value / mean
+    # a permutation moves terms between the low bits, in the product, and
+    # the high ones, added chunk by chunk
+    shuffled = list(xs)
+    order.shuffle(shuffled)
+    assert rademacher_average(shuffled, space, p, cfg).value == pytest.approx(value, rel=1e-12)
+
+
+@st.composite
+def _hprad_cases(draw):
+    """(space, m, p, samples): sample counts at, and one off, a multiple of
+    the Monte Carlo loop's chunk or of its character panel."""
+    space = draw(st.sampled_from(PROPERTY_SPACES))
+    m = draw(st.integers(3, 12))
+    chunk = max(1, (1 << 13) // max((1 << m) // 16, 1))  # samples per gemm
+    panel = chunk * -(-randomized._PANEL_ENTRIES // (chunk * m))  # samples per character draw
+    edge = draw(st.sampled_from([chunk, 2 * chunk, panel]))
+    samples = max(1, edge + draw(st.integers(-1, 1)))
+    return space, m, draw(st.sampled_from([1.0, 3.0])), samples
+
+
+@settings(max_examples=12, deadline=None)
+@given(case=_hprad_cases(), seed=st.integers(0, 2**32 - 1))
+def test_hprad_real_gemm_matches_full_enumeration_bitwise(case, seed):
+    space, m, p, samples = case
+    D = _guard_polynomial(space, m, np.random.default_rng(seed))
+    cfg = SamplerConfig(seed=seed, samples=samples, grid_policy=NO_GRID)
+    est = hprad_norm(D, p, cfg)
+    assert (est.value, est.stderr) == _hprad_full_enumeration(D, p, cfg)
 
 
 def test_rademacher_average_enumerates_up_to_exact_cutoff():
