@@ -49,8 +49,10 @@ from .spaces import (
 @dataclass(frozen=True)
 class RatioReport:
     """numerator / denominator.  quad_error is the quadrature error of a
-    ratio whose two norms come from one grid pass, |R_fine - R_half|; None
-    when they come from separate passes, whose errors then propagate."""
+    ratio whose two norms come from one grid pass, |R_fine - R_half|, plus
+    in a function space |R_fine - R_inner| with R_inner the ratio on the
+    half inner grid of the same pass; None when they come from separate
+    passes, whose errors then propagate."""
 
     numerator: Estimate
     denominator: Estimate

@@ -24,9 +24,9 @@ from .sampling import (
     STREAM_TORUS,
     _CHUNK_BUDGET,
     Estimate,
-    GridPolicy,
     SamplerConfig,
-    grid_characters,
+    _grid_columns,
+    _grid_sizes,
     torus_characters,
 )
 from .spaces import (
@@ -146,33 +146,6 @@ def _exponent_rows(ns: list[int]) -> np.ndarray:
     return exps
 
 
-def _grid_sizes(exponents: np.ndarray, policy: GridPolicy):
-    """(used, fine, half): the exponent columns of the variables some term
-    uses, and the sizes of the quadrature grid and of its half grid on them."""
-    used = exponents[:, np.abs(exponents).max(axis=0) > 0]
-    fine = [policy.size_for(int(top)) for top in np.abs(used).max(axis=0)]
-    return used, fine, [max(g // 2, 1) for g in fine]
-
-
-def _half_points(fine: Sequence[int], half: Sequence[int]) -> np.ndarray:
-    """Mask over the points of the grid of `fine` (C order) marking those of
-    its half grid: half point i is fine point i * (fine // half) in each
-    variable, whose fixed-point angle words are the same."""
-    mask = np.zeros(fine, dtype=bool)
-    mask[tuple(slice(None, None, f // h) for f, h in zip(fine, half))] = True
-    return mask.reshape(-1)
-
-
-def _grid_columns(exponents: np.ndarray, sizes: Sequence[int]):
-    """draw(lo, n) giving the multipliers z^E[t] at points [lo, lo + n) of the
-    tensor grid of `sizes` as columns."""
-
-    def draw(lo: int, n: int) -> np.ndarray:
-        return grid_characters(exponents, sizes, lo, n).T
-
-    return draw
-
-
 def _polytorus_norm(
     space: SpaceSpec,
     xs: list[Element],
@@ -192,9 +165,7 @@ def _polytorus_norm(
         used, sizes, halves = _grid_sizes(exponents, policy)
         points = math.prod(sizes)
         if points <= policy.max_points:
-            (fine,), (rough,) = grid_moments(
-                space, xs, _grid_columns(used, sizes), _half_points(sizes, halves), [p]
-            )
+            (fine,), (rough,), _ = grid_moments(space, xs, _grid_columns(used, sizes), sizes, halves, [p])
             return Estimate(  # the outer grid's gap, plus a function space's inner one
                 value=fine.value,
                 samples_used=fine.samples_used,

@@ -19,9 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .dirichlet import (
-    DirichletPolynomial, _grid_columns, _grid_sizes, _half_points, lift_arrays
-)
+from .dirichlet import DirichletPolynomial, lift_arrays
 from .errors import DomainError, UndefinedRatioError
 from .sampling import (
     MODE_MC,
@@ -34,6 +32,8 @@ from .sampling import (
     _CHUNK_BUDGET,
     Estimate,
     SamplerConfig,
+    _grid_columns,
+    _grid_sizes,
     block_stderr,
     combined_stderr,
     gaussian_samples,
@@ -43,9 +43,11 @@ from .sampling import (
 )
 from .spaces import (
     _PATTERN_CHUNK,
+    INNER_GRID,
     CombinationEvaluator,
     Element,
     SpaceSpec,
+    _inner_grid,
     _mirrored,
     as_element,
     closed_form,
@@ -53,7 +55,6 @@ from .spaces import (
     coordinate_norms,
     coordinate_norms_of_rows,
     element_is_zero,
-    family_grid_sizes,
     grid_moments,
     is_coordinate,
     is_hilbertian,
@@ -287,7 +288,7 @@ def _grid_route(
     cosets = signs.shape[1]
     if (math.prod(fine) + math.prod(half)) * cosets > cfg.samples * evaluated:
         return None
-    rows = space.d if is_coordinate(space) else math.prod(family_grid_sizes(space, xs))
+    rows = space.d if is_coordinate(space) else math.prod(_inner_grid(xs, INNER_GRID)[1])
     if cosets * rows * len(xs) > _CHUNK_BUDGET:
         return None
     return used, fine, half, signs
@@ -295,8 +296,8 @@ def _grid_route(
 
 class _SamePass(NamedTuple):
     """What a grid-route hprad_norm learns besides its value: the plain norm
-    (the identity coset) and the ratio's quadrature error, |R_fine - R_half|
-    plus the first-order share of a function space's inner grid error."""
+    (the identity coset) and the ratio's quadrature error, |R - R_half| plus
+    in a function space |R - R_inner|, both half grids read from one pass."""
 
     denominator: Estimate
     ratio_quad_error: float
@@ -311,7 +312,7 @@ def _grid_hprad(
     gap between the two grids."""
     used, fine, half, signs = route
     columns = _grid_columns(used, fine)
-    grid, rough = grid_moments(space, xs, columns, _half_points(fine, half), [p], patterns=signs)
+    grid, rough, inner = grid_moments(space, xs, columns, fine, half, [p], patterns=signs)
     num = float(np.mean([e.value for e in grid]))
     num_half = float(np.mean([e.value for e in rough]))
     num_inner = float(np.mean([e.quad_error for e in grid]))
@@ -324,8 +325,11 @@ def _grid_hprad(
         den, samples_used=points, mode=MODE_QUADRATURE, quad_error=abs(den - den_half) + den_inner
     )
     ratio = num / den
-    gap = abs(ratio - num_half / den_half) if den_half > 0 else math.inf
-    return numerator, _SamePass(denominator, gap + ratio * (num_inner / num + den_inner / den))
+    gap = sum(  # the gap to the ratio on the half grid, and on the half inner grid
+        abs(ratio - float(np.mean([e.value for e in h])) / h[0].value) if h[0].value > 0 else math.inf
+        for h in ([rough] if inner is None else [rough, inner])
+    )
+    return numerator, _SamePass(denominator, gap)
 
 
 def _coordinate_columns(
@@ -404,7 +408,8 @@ def hprad_norm(
 def _mc_hprad(
     space: SpaceSpec, xs: list[Element], exps: np.ndarray, p: float, cfg: SamplerConfig
 ) -> Estimate:
-    """hprad_norm off the grid route: one torus panel for every sign pattern."""
+    """hprad_norm off the grid route: one torus panel for every sign pattern,
+    and in a function space the half inner grid's gap as quad_error."""
     m = len(xs)
     draw, evaluated, exact_outer, mirrored = _sign_rule(
         m, cfg, min(4096, cfg.samples), STREAM_OUTER_SIGNS
@@ -432,6 +437,7 @@ def _mc_hprad(
     panel_rows = z_chunk * -(-_PANEL_ENTRIES // (z_chunk * m))
 
     power_sums = np.zeros((blocks, evaluated))
+    half_sums = np.zeros(evaluated)  # per pattern, on the half inner grid
     for lo in range(0, samples, z_chunk):
         count = min(z_chunk, samples - lo)
         if lo % panel_rows == 0:
@@ -450,25 +456,28 @@ def _mc_hprad(
                 combos = np.moveaxis((mult[:, None, :] * matrix[None, :, :]) @ signs, 1, 0)
                 g = coordinate_norms(space, combos.reshape(d, -1))  # (count * patterns,)
         else:  # every (sample, pattern) coefficient column, sample-major
-            g = evaluator.norms((mult.T[:, :, None] * signs[:, None, :]).reshape(m, -1))
+            half = np.empty(count * evaluated)
+            g = evaluator.norms((mult.T[:, :, None] * signs[:, None, :]).reshape(m, -1), half)
+            half_sums += (half**p).reshape(count, -1).sum(axis=0)
         gp = (g**p).reshape(count, -1)
         for b in range(blocks):
             rows = slice(max(bounds[b], lo) - lo, min(bounds[b + 1], lo + count) - lo)
             if rows.start < rows.stop:
                 power_sums[b] += gp[rows].sum(axis=0)
     if mirrored:
-        power_sums = _mirrored(power_sums)
+        power_sums, half_sums = _mirrored(power_sums), _mirrored(half_sums)
 
     total_means = power_sums.sum(axis=0) / samples  # per-pattern E_z g^p
     inner = total_means ** (1.0 / p)
     value = float(inner.mean())
+    quad_error = 0.0 if coordinate else abs(value - float(((half_sums / samples) ** (1.0 / p)).mean()))
 
     counts = np.diff(bounds)
     block_values = [float(((power_sums[b] / counts[b]) ** (1.0 / p)).mean()) for b in range(blocks)]
     stderr = block_stderr(np.array(block_values))
     if not exact_outer and patterns > 1:
         stderr = math.sqrt(stderr**2 + float(inner.var(ddof=1)) / patterns)
-    return Estimate(value=value, stderr=stderr, samples_used=samples, mode=MODE_MC)
+    return Estimate(value, stderr, samples, MODE_MC, quad_error)
 
 
 def kahane_ratio(

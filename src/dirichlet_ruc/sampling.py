@@ -362,6 +362,33 @@ def grid_characters(
     return _panel_rows(key, math.prod(sizes), len(exponents), draw, start, count)
 
 
+def _grid_sizes(exponents: np.ndarray, policy: GridPolicy):
+    """(used, fine, half): the exponent columns of the variables some term
+    uses, and the sizes of the quadrature grid and of its half grid on them.
+    Both tori size their grids here: the polytorus of a lift, and the
+    k-torus of a function space's elements."""
+    used = exponents[:, np.abs(exponents).max(axis=0) > 0]
+    fine = [policy.size_for(int(top)) for top in np.abs(used).max(axis=0)]
+    return used, fine, [max(g // 2, 1) for g in fine]
+
+
+def _half_points(fine: Sequence[int], half: Sequence[int]) -> tuple[slice, ...]:
+    """Index of the half grid's points in an array shaped like the grid of
+    `fine` (C order): half point i is fine point i * (fine // half) in each
+    variable, whose fixed-point angle words are the same."""
+    return tuple(slice(None, None, f // h) for f, h in zip(fine, half))
+
+
+def _grid_columns(exponents: np.ndarray, sizes: Sequence[int]):
+    """draw(lo, n) giving the multipliers z^E[t] at points [lo, lo + n) of the
+    tensor grid of `sizes` as columns."""
+
+    def draw(lo: int, n: int) -> np.ndarray:
+        return grid_characters(exponents, sizes, lo, n).T
+
+    return draw
+
+
 class PowerMoments:
     """Running sums of g^q over norm values g, one per power q and column
     group, turned into Estimates of (E g^q)^(1/q).

@@ -2,9 +2,10 @@
 
 Coordinate spaces (power-mean, Hilbert, sup) have exact norms.  L_r models
 on a k-torus are represented by trigonometric polynomials and integrated on
-per-variable uniform grids of size max(8 * max|exponent|, 64) (rounded up
-to a power of two), with a half-grid comparison as the reported error; for
-r = 2 the grid rule makes the quadrature exact (Parseval).
+the polytorus's grid rule (sampling._grid_sizes) under INNER_GRID, with
+the half grid, read from the grid's own moduli, as the reported error
+(norm doubles the grid: NORM_GRID); for r = 2 the grid rule makes the
+quadrature exact (Parseval).
 
 Every average of norm powers over a panel of multipliers runs through
 combination_moments; closed_form gives the averages that need none.
@@ -15,17 +16,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
 from .bohr import TorusPoint
 from .errors import ArityError, DomainError, ResourceError, ShapeError
-from .sampling import MODE_EXACT, MODE_QUADRATURE, _CHUNK_BUDGET, Estimate, PowerMoments
+from .sampling import (
+    MODE_EXACT, MODE_QUADRATURE, _CHUNK_BUDGET, Estimate, GridPolicy, PowerMoments, _grid_sizes,
+    _half_points,
+)
 
-FUNCTION_GRID_FACTOR = 8
-FUNCTION_GRID_MIN = 64
-FUNCTION_GRID_MAX_POINTS = 1 << 22
+INNER_GRID = GridPolicy(factor=8, min_size=64, max_points=1 << 22)
+NORM_GRID = GridPolicy(factor=16, min_size=128, max_points=1 << 22)  # norm: INNER_GRID is its half
 
 _PATTERN_CHUNK = 1 << 13  # multiplier columns per block in a coordinate space
 
@@ -260,55 +264,34 @@ def coordinate_norms_of_rows(space: SpaceSpec, rows: Iterable[np.ndarray]) -> np
     return root(total)
 
 
-def _function_grid_sizes(max_exponents: Sequence[int], scale: float = 1) -> tuple[int, ...]:
-    sizes = []
-    for e in max_exponents:
-        if e == 0:
-            sizes.append(1)  # constant in this variable
-            continue
-        raw = int(max(FUNCTION_GRID_FACTOR * int(e), FUNCTION_GRID_MIN) * scale)
-        sizes.append(1 << (max(raw, 1) - 1).bit_length())
-    total = math.prod(sizes)
-    if total > FUNCTION_GRID_MAX_POINTS:
+def _inner_grid(xs: Sequence[TrigPolynomial], policy: GridPolicy):
+    """(used, fine, half) of _grid_sizes for the exponents of every term of
+    the L_r elements xs: the quadrature grid of the family, sized for the
+    union of their supports, or ResourceError past policy.max_points."""
+    # Python ints: any exponent is sized exactly, and a huge one refused
+    terms = [beta for x in xs for beta in x.coeffs]
+    exponents = np.array(terms or [(0,) * xs[0].k], dtype=object)
+    used, fine, half = _grid_sizes(exponents, policy)
+    if math.prod(fine) > policy.max_points:
         raise ResourceError(
-            f"function-space grid of {total} points exceeds budget "
-            f"{FUNCTION_GRID_MAX_POINTS}"
+            f"function-space grid of {math.prod(fine)} points exceeds budget {policy.max_points}"
         )
-    return tuple(sizes)
+    return used, fine, half
 
 
-def family_grid_sizes(
-    space: FunctionLr, xs: Sequence[TrigPolynomial], grid_scale: float = 1
-) -> tuple[int, ...]:
-    """The quadrature grid of a family of L_r elements, sized for the union
-    of their supports."""
-    union_max = [0] * space.k
-    for poly in xs:
-        for j, e in enumerate(poly.max_abs_exponents()):
-            union_max[j] = max(union_max[j], e)
-    return _function_grid_sizes(union_max, grid_scale)
-
-
-def _grid_values(polys: Sequence[TrigPolynomial], sizes: Sequence[int]) -> np.ndarray:
-    """(grid_points, n_polys) complex values on the tensor grid.
+def _grid_values(xs: Sequence[TrigPolynomial], used: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """(grid_points, len(xs)) complex values on the tensor grid of `sizes`,
+    given the used exponent columns of _inner_grid, one row per term.
 
     Exponents reduce mod the per-variable grid size before exponentiation,
     so 2**60-style exponents are evaluated exactly.
     """
-    k = polys[0].k
-    points = math.prod(sizes)
-    out = np.zeros((points, len(polys)), dtype=np.complex128)
-    for col, poly in enumerate(polys):
-        for beta, c in poly.coeffs.items():
-            factors = []
-            for j in range(k):
-                g = sizes[j]
-                e = beta[j] % g
-                factors.append(np.exp(2j * math.pi * ((e * np.arange(g)) % g) / g))
-            grid = factors[0]
-            for f in factors[1:]:
-                grid = np.multiply.outer(grid, f)
-            out[:, col] += c * grid.reshape(-1)
+    out = np.zeros((math.prod(sizes), len(xs)), dtype=np.complex128)
+    terms = [(col, c) for col, x in enumerate(xs) for c in x.coeffs.values()]
+    for (col, c), row in zip(terms, used.tolist()):
+        factors = [np.exp(2j * math.pi * ((e % g * np.arange(g)) % g) / g) for e, g in zip(row, sizes)]
+        grid = reduce(np.multiply.outer, factors) if factors else np.ones(1)  # or a constant term
+        out[:, col] += c * grid.reshape(-1)
     return out
 
 
@@ -317,8 +300,9 @@ class CombinationEvaluator:
 
     norms(C) returns the column norms of sum_n C[n, m] * x_n.  Coordinate
     spaces use one (d, N) matrix; function spaces are pre-evaluated on the
-    tensor quadrature grid sized for the union support (grid_scale doubles
-    it for refinement comparisons).  With `patterns`, an (N, R) array of
+    tensor quadrature grid that `grid_policy` sizes for the union support,
+    and norms(C, half) also writes the norms on its half grid into `half`,
+    read from the grid's own moduli.  With `patterns`, an (N, R) array of
     signs, every column is taken under each pattern eps_k, as the norm of
     sum_n eps_k[n] C[n, m] x_n: the R families eps_k x are stacked, so one
     product evaluates them all, and column m under pattern k gives norm
@@ -329,7 +313,7 @@ class CombinationEvaluator:
         self,
         space: SpaceSpec,
         xs: Sequence[Element],
-        grid_scale: float = 1,
+        grid_policy: GridPolicy = INNER_GRID,
         patterns: np.ndarray | None = None,
     ):
         if len(xs) == 0:
@@ -340,9 +324,8 @@ class CombinationEvaluator:
             self._matrix = np.column_stack(self.xs)
             self._grid = None
         else:
-            sizes = family_grid_sizes(space, self.xs, grid_scale)
-            self._matrix = _grid_values(self.xs, sizes)
-            self._grid = sizes
+            used, self._grid, self._half = _inner_grid(self.xs, grid_policy)
+            self._matrix = _grid_values(self.xs, used, self._grid)
         self.patterns = 1 if patterns is None else patterns.shape[1]
         self._stacked = self._matrix
         if patterns is not None:
@@ -358,7 +341,7 @@ class CombinationEvaluator:
         """(d, N) coordinate matrix or (grid_points, N) grid values."""
         return self._matrix
 
-    def norms(self, coefficients: np.ndarray) -> np.ndarray:
+    def norms(self, coefficients: np.ndarray, half: np.ndarray | None = None) -> np.ndarray:
         c = np.asarray(coefficients, dtype=np.complex128)
         if c.ndim == 1:
             c = c[:, None]
@@ -375,7 +358,12 @@ class CombinationEvaluator:
             mags = np.abs(values)
             del values  # the complex values are the largest block: free them first
             mags **= r
-            norms = mags.reshape(shape).mean(axis=1) ** (1.0 / r)
+            powers = mags.reshape(shape)
+            norms = powers.mean(axis=1) ** (1.0 / r)
+            if half is not None:  # a strided view: a copy of its rows raised peak RSS
+                grid = powers.reshape(self.patterns, *self._grid, -1)
+                rows = grid[(slice(None), *_half_points(self._grid, self._half))]
+                half[:] = (rows.mean(axis=tuple(range(1, rows.ndim - 1))) ** (1.0 / r)).T.reshape(-1)
         return norms.T.reshape(-1)
 
 
@@ -446,18 +434,23 @@ def grid_moments(
     space: SpaceSpec,
     xs: Sequence[Element],
     draw: Callable[[int, int], np.ndarray],
-    coarse: np.ndarray,
+    fine: Sequence[int],
+    half: Sequence[int],
     powers: Sequence[float],
     patterns: np.ndarray | None = None,
-) -> tuple[list[Estimate], list[Estimate]]:
-    """combination_moments over the points of a tensor grid, draw(lo, n)
-    giving points [lo, lo + n), and over the coarser grid whose points the
-    boolean mask `coarse` marks among them, from one pass: the coarse
-    grid's norms are read out of the fine grid's chunks, and summed in the
-    chunks a pass of their own would take, so its Estimates (values alone)
-    are those of such a pass bit for bit."""
-    moments, rough = _moment_pass(space, xs, draw, coarse.size, powers, patterns=patterns, coarse=coarse)
-    return moments[0].estimates(moments[1] if len(moments) > 1 else None), rough.estimates()
+) -> tuple[list[Estimate], list[Estimate], list[Estimate] | None]:
+    """combination_moments over the points of the tensor grid of `fine`,
+    draw(lo, n) giving points [lo, lo + n), and over its half grid of
+    `half`, from one pass: the half grid's norms are read out of the fine
+    grid's chunks, and summed in the chunks a pass of their own would take,
+    so its Estimates (values alone) are those of such a pass bit for bit.
+    The third list holds a function space's Estimates on its half inner
+    grid (values alone), None in a coordinate space."""
+    mask = np.zeros(fine, dtype=bool)
+    mask[_half_points(fine, half)] = True
+    moments, rough = _moment_pass(space, xs, draw, mask.size, powers, patterns=patterns, coarse=mask.ravel())
+    inner = moments[1] if len(moments) > 1 else None
+    return moments[0].estimates(inner), rough.estimates(), None if inner is None else inner.estimates()
 
 
 def _moment_pass(
@@ -473,16 +466,15 @@ def _moment_pass(
     coarse: np.ndarray | None = None,
 ) -> tuple[list[PowerMoments], PowerMoments | None]:
     """The one chunk loop of combination_moments and grid_moments: the
-    power sums of the first evaluator's norms (and of a function space's
-    half inner grid), and of the coarse columns' norms under the first."""
-    evaluators = [CombinationEvaluator(space, xs, patterns=patterns)]
-    groups = evaluators[0].patterns
+    power sums of the evaluator's norms (and of a function space's half
+    inner grid), and of the coarse columns' norms."""
+    evaluator = CombinationEvaluator(space, xs, patterns=patterns)
+    groups = evaluator.patterns
     moments = [PowerMoments(powers, mc, groups)]
     chunk = _PATTERN_CHUNK
     if not is_coordinate(space):
-        evaluators.append(CombinationEvaluator(space, xs, grid_scale=0.5, patterns=patterns))
         moments.append(PowerMoments(powers, groups=groups))
-        chunk = max(1, _CHUNK_BUDGET // evaluators[0].grid_points)
+        chunk = max(1, _CHUNK_BUDGET // evaluator.grid_points)
     chunk = max(1, chunk // groups)
     rough = None if coarse is None else PowerMoments(powers, groups=groups)
     picked = np.empty((0, groups))  # coarse columns' norms not summed yet
@@ -490,17 +482,17 @@ def _moment_pass(
     late = []  # (moments, reversed chunk's moments) of the mirrored chunks
     summed = None  # the chunks' combinations, when built from the first chunk's
     if signs and is_coordinate(space) and patterns is None and count > chunk:
-        summed = _sign_chunks(evaluators[0].matrix, draw(0, chunk), count)
+        summed = _sign_chunks(evaluator.matrix, draw(0, chunk), count)
     for lo in range(0, count, chunk):
         n = min(chunk, count - lo)
-        block = None if summed is not None else draw(lo, n)
-        for evaluator, acc in zip(evaluators, moments):
-            g = evaluator.norms(block) if summed is None else coordinate_norms(space, next(summed))
-            if rough is not None and acc is moments[0]:
-                picked = np.concatenate([picked, g.reshape(n, groups)[coarse[lo : lo + n]]])
-                while len(picked) >= chunk:  # a chunk of the coarse grid's own pass
-                    rough.add(picked[:chunk].reshape(-1))
-                    picked = picked[chunk:]
+        half = None if is_coordinate(space) else np.empty(n * groups)
+        g = evaluator.norms(draw(lo, n), half) if summed is None else coordinate_norms(space, next(summed))
+        if rough is not None:
+            picked = np.concatenate([picked, g.reshape(n, groups)[coarse[lo : lo + n]]])
+            while len(picked) >= chunk:  # a chunk of the coarse grid's own pass
+                rough.add(picked[:chunk].reshape(-1))
+                picked = picked[chunk:]
+        for g, acc in zip((g, half), moments):
             if several:
                 tail = PowerMoments(powers)
                 tail.add(g[::-1].copy())  # a strided power may round unlike a contiguous one
@@ -523,16 +515,14 @@ def norm(space: SpaceSpec, x) -> Estimate:
         return Estimate(value=value, mode=MODE_EXACT)
     if x.is_zero():
         return Estimate(value=0.0, mode=MODE_EXACT)
-    one = np.ones((1, 1))
-    full = CombinationEvaluator(space, [x], grid_scale=2)
-    half = CombinationEvaluator(space, [x], grid_scale=1)
-    value = float(full.norms(one)[0])
-    rough = float(half.norms(one)[0])
+    evaluator = CombinationEvaluator(space, [x], NORM_GRID)
+    rough = np.empty(1)
+    value = float(evaluator.norms(np.ones(1), rough)[0])
     return Estimate(
         value=value,
         mode=MODE_QUADRATURE,
-        quad_error=abs(value - rough),
-        samples_used=full.grid_points,
+        quad_error=abs(value - float(rough[0])),
+        samples_used=evaluator.grid_points,
     )
 
 

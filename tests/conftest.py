@@ -9,11 +9,15 @@ import pytest
 
 from dirichlet_ruc import (
     DirichletPolynomial,
+    GridPolicy,
     HilbertSpace,
     SequenceSpace,
     SupSpace,
 )
 from dirichlet_ruc.cli import run as cli_run
+
+# spaces.INNER_GRID's half grid as a grid of its own, for separate-pass references
+HALF_INNER_GRID = GridPolicy(factor=4, min_size=32, max_points=1 << 22)
 
 
 def make_space(rng, max_dim=6):

@@ -28,7 +28,8 @@ from dirichlet_ruc import (
     rud_ratio,
     sampling,
 )
-from dirichlet_ruc.dirichlet import _grid_sizes, lift_arrays
+from dirichlet_ruc.dirichlet import lift_arrays
+from dirichlet_ruc.sampling import _grid_sizes
 from dirichlet_ruc.randomized import _grid_cosets, _grid_hprad
 
 SMOOTH = [n for n in range(1, 41) if n // math.gcd(n, 2**5 * 3**3 * 5**2) == 1]  # 2, 3, 5 only
@@ -134,13 +135,24 @@ def test_rotations_off_the_half_grid_are_not_merged():
     assert hprad_norm(D, 1.0, SamplerConfig()).value == pytest.approx(on_fine.mean(), rel=1e-12)
 
 
+def _trig_family(rng, k, m):
+    keys = [tuple(int(e) for e in rng.integers(-2, 3, size=k)) for _ in range(2)]
+    return [TrigPolynomial({key: complex(*rng.standard_normal(2)) for key in keys}, k) for _ in range(m)]
+
+
+@pytest.mark.parametrize("space", [SupSpace(3), FunctionLr(1.0, 1), FunctionLr(3.0, 1)], ids=repr)
 @pytest.mark.parametrize("p", [1.0, 3.0])
 @pytest.mark.parametrize(
     "support", [[1, 2, 3], [1, 3], [2, 3, 5]], ids=["1,2,3", "1,3", "primes"]
 )
-def test_single_coset_ratio_is_exactly_one(support, p):
+def test_single_coset_ratio_is_exactly_one(support, p, space):
+    # In a function space R is 1 on the half inner grid too: its gap is 0.
     rng = np.random.default_rng(len(support))
-    D = DirichletPolynomial(SupSpace(3), dict(zip(support, _family(rng, 3, len(support)))))
+    if isinstance(space, SupSpace):
+        xs = _family(rng, 3, len(support))
+    else:
+        xs = _trig_family(rng, space.k, len(support))
+    D = DirichletPolynomial(space, dict(zip(support, xs)))
     _, exps, _ = lift_arrays(D)
     used, _, half = _grid_sizes(exps, GridPolicy())
     assert _grid_cosets(used, half).shape[1] == 1

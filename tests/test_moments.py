@@ -45,6 +45,8 @@ from dirichlet_ruc.sampling import (
 from dirichlet_ruc.randomized import _gaussian_abs_moment
 from dirichlet_ruc.spaces import CombinationEvaluator, closed_form, norm as space_norm
 
+from conftest import HALF_INNER_GRID
+
 SAMPLES = 3000
 
 
@@ -299,7 +301,7 @@ def test_function_space_hp_norm_mc_reports_its_half_grid_gap():
     xs, exps, _ = lift_arrays(D)
     columns = torus_characters(exps, cfg.seed, STREAM_TORUS, SAMPLES, 0, SAMPLES).T
     value, stderr = _delta_method(CombinationEvaluator(space, xs).norms(columns), 1.0)
-    rough = _delta_method(CombinationEvaluator(space, xs, grid_scale=0.5).norms(columns), 1.0)[0]
+    rough = _delta_method(CombinationEvaluator(space, xs, HALF_INNER_GRID).norms(columns), 1.0)[0]
     assert (est.mode, est.samples_used) == ("mc", SAMPLES)
     assert est.value == pytest.approx(value, rel=1e-12)
     assert est.stderr == pytest.approx(stderr, rel=1e-12)

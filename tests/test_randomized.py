@@ -41,7 +41,7 @@ from dirichlet_ruc.sampling import (
 )
 from dirichlet_ruc.spaces import CombinationEvaluator, coordinate_norms, is_coordinate
 
-from conftest import random_instances
+from conftest import HALF_INNER_GRID, random_instances
 
 H1 = HilbertSpace(1)
 CFG = SamplerConfig(seed=7, samples=30_000)
@@ -236,13 +236,32 @@ def test_hprad_sampled_outer_matches_previous_loop_bitwise(space):
     assert (est.value, est.stderr) == _hprad_full_enumeration(D, 1.0, cfg)
 
 
+def test_hprad_off_the_grid_route_reports_its_inner_grid_error(monkeypatch):
+    # Per sign pattern, the torus average of the norms on the half inner
+    # grid; the error is the gap between the two means over the patterns.
+    space = FunctionLr(1.0, 1)
+    D = DirichletPolynomial(space, dict(zip([2, 3, 5, 6], _trig_family(space, 4, np.random.default_rng(519)))))
+    cfg = SamplerConfig(seed=1, samples=2000, grid_policy=NO_GRID)
+    est = hprad_norm(D, 1.0, cfg)
+    assert est.mode == "mc" and est.quad_error > 0
+    assert (est.value, est.stderr) == _hprad_full_enumeration(D, 1.0, cfg)
+    assert hp_norm(D, 1.0, cfg, method="mc").quad_error > 0  # as the plain norm's does
+
+    def half_grid(space, xs):
+        return CombinationEvaluator(space, xs, HALF_INNER_GRID)
+
+    monkeypatch.setattr(randomized, "CombinationEvaluator", half_grid)
+    rough = hprad_norm(D, 1.0, cfg)
+    assert est.quad_error == pytest.approx(abs(est.value - rough.value), rel=0, abs=1e-13)
+
+
 def _sign_moments_full_enumeration(space, xs, scale, powers, chunk=1 << 13):
     """(value, quad_error) per power of the exact sign moments as computed
     before the half-pattern kernel: all 2^m patterns, chunk by chunk."""
     m = len(xs)
     total = 1 << m
     full = CombinationEvaluator(space, xs)
-    half = None if is_coordinate(space) else CombinationEvaluator(space, xs, grid_scale=0.5)
+    half = None if is_coordinate(space) else CombinationEvaluator(space, xs, HALF_INNER_GRID)
     acc = np.zeros(len(powers))
     acc_half = np.zeros(len(powers))
     for lo in range(0, total, chunk):

@@ -25,7 +25,8 @@ from dirichlet_ruc import (
     sampling,
 )
 from dirichlet_ruc.constants import _RatioPlan, _sup_normalize
-from dirichlet_ruc.dirichlet import _grid_columns, _grid_sizes, _half_points, lift_arrays
+from dirichlet_ruc.dirichlet import lift_arrays
+from dirichlet_ruc.sampling import _grid_columns, _grid_sizes
 from dirichlet_ruc.randomized import _grid_cosets
 from dirichlet_ruc.spaces import combination_moments, grid_moments, scale_element
 
@@ -195,9 +196,7 @@ def test_half_grid_read_from_the_fine_pass_equals_its_own_pass(space, support, x
     used, fine, half = _grid_sizes(exps, GridPolicy())
     patterns = _grid_cosets(used, half) if cosets else None
     points = math.prod(fine)
-    grid, rough = grid_moments(
-        space, xs, _grid_columns(used, fine), _half_points(fine, half), [p], patterns=patterns
-    )
+    grid, rough, _ = grid_moments(space, xs, _grid_columns(used, fine), fine, half, [p], patterns=patterns)
     assert grid == combination_moments(space, xs, _grid_columns(used, fine), points, [p], patterns=patterns)
     alone = combination_moments(space, xs, _grid_columns(used, half), math.prod(half), [p], patterns=patterns)
     assert [e.value for e in rough] == [e.value for e in alone]

@@ -10,6 +10,7 @@ from scipy import integrate
 from dirichlet_ruc import (
     DomainError,
     FunctionLr,
+    ResourceError,
     HilbertSpace,
     SequenceSpace,
     ShapeError,
@@ -19,16 +20,20 @@ from dirichlet_ruc import (
     summing_combination,
     trig_eval,
 )
+from dirichlet_ruc import spaces
 from dirichlet_ruc.errors import ArityError
 from dirichlet_ruc.spaces import (
+    INNER_GRID,
+    NORM_GRID,
     CombinationEvaluator,
+    _inner_grid,
     as_element,
     coordinate_norms,
     coordinate_norms_of_rows,
     is_hilbertian,
 )
 
-from conftest import assert_close
+from conftest import HALF_INNER_GRID, assert_close
 
 
 def test_norm_examples():
@@ -207,3 +212,116 @@ def test_norms_of_rows_match_coordinate_norms_bitwise(case):
         want = coordinate_norms(space, combos.reshape(d, -1)).reshape(count, patterns)
         got = coordinate_norms_of_rows(space, iter(combos))
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _old_function_grid(max_exponents, scale=1):
+    """The function-space grid rule before it ran through the polytorus's:
+    per variable 1 point when constant, else max(8 e, 64) * scale rounded up
+    to a power of two; None past 2^22 points in all."""
+    sizes = []
+    for e in max_exponents:
+        raw = int(max(8 * e, 64) * scale)
+        sizes.append(1 if e == 0 else 1 << (max(raw, 1) - 1).bit_length())
+    return None if math.prod(sizes) > 1 << 22 else sizes
+
+
+def _grid_or_none(polys, policy):
+    try:
+        return _inner_grid(polys, policy)
+    except ResourceError:
+        return None
+
+
+@st.composite
+def _trig_families(draw):
+    k = draw(st.integers(1, 3))
+    constant = draw(st.lists(st.booleans(), min_size=k, max_size=k))  # variables no term uses
+    exponent = st.integers(-300, 300)
+    key = st.tuples(*[st.just(0) if c else exponent for c in constant])
+    polys = draw(st.lists(st.dictionaries(key, st.just(1.0), max_size=4), min_size=1, max_size=3))
+    return [TrigPolynomial(p, k) for p in polys]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trig_families())
+def test_inner_grid_sizes_are_the_old_rule(polys):
+    tops = [max((abs(b[j]) for p in polys for b in p.coeffs), default=0) for j in range(polys[0].k)]
+    kept = [j for j, e in enumerate(tops) if e]
+
+    def on_used(sizes):
+        return None if sizes is None else [sizes[j] for j in kept]
+
+    for policy, scale in ((INNER_GRID, 1), (NORM_GRID, 2)):
+        grid = _grid_or_none(polys, policy)
+        assert (grid is None) == (_old_function_grid(tops, scale) is None)
+        if grid is not None:
+            used, fine, half = grid
+            assert fine == on_used(_old_function_grid(tops, scale))
+            assert half == on_used(_old_function_grid(tops, scale / 2))
+            assert used.shape == (sum(len(p.coeffs) for p in polys) or 1, len(kept))
+
+
+@pytest.mark.parametrize(
+    "policy, top", [(INNER_GRID, 1 << 19), (NORM_GRID, 1 << 18)], ids=["inner", "norm"]
+)
+def test_inner_grid_budget_boundary(policy, top, monkeypatch):
+    assert _inner_grid([TrigPolynomial({(top,): 1.0}, 1)], policy)[1] == [1 << 22]
+    assert _inner_grid([TrigPolynomial({(-top, 0): 1.0}, 2)], policy)[1] == [1 << 22]
+    over = TrigPolynomial({(top + 1,): 1.0}, 1)
+    with pytest.raises(ResourceError):
+        _inner_grid([over], policy)
+
+    def built(*args):
+        raise AssertionError("grid values built past the budget")
+
+    monkeypatch.setattr(spaces, "_grid_values", built)
+    with pytest.raises(ResourceError):
+        if policy is NORM_GRID:
+            norm(FunctionLr(1.0, 1), over)
+        else:
+            CombinationEvaluator(FunctionLr(1.0, 1), [over])
+    with pytest.raises(ResourceError):  # an exponent past int64 is refused as well
+        _inner_grid([TrigPolynomial({(1 << 70,): 1.0}, 1)], policy)
+
+
+def _random_trig(rng, k, terms=4, top=5):
+    keys = [tuple(int(e) for e in rng.integers(-top, top + 1, size=k)) for _ in range(terms)]
+    return TrigPolynomial({key: complex(*rng.standard_normal(2)) for key in keys}, k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("r", [1.0, 1.5, 3.0])
+@pytest.mark.parametrize("signs", [False, True], ids=["plain", "patterns"])
+def test_half_inner_grid_read_from_the_fine_pass_equals_its_own_pass(k, r, signs):
+    rng = np.random.default_rng(100 * k + int(2 * r))
+    space = FunctionLr(r, k)
+    xs = [_random_trig(rng, k) for _ in range(3)]
+    patterns = np.array([[1.0, -1.0], [1.0, 1.0], [1.0, -1.0]]) if signs else None
+    columns = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    fine = CombinationEvaluator(space, xs, patterns=patterns)
+    half = np.empty(5 * fine.patterns)
+    values = fine.norms(columns, half)
+    alone = CombinationEvaluator(space, xs, HALF_INNER_GRID, patterns=patterns)
+    assert fine.grid_points == alone.grid_points << k
+    expected = alone.norms(columns)
+    if k <= 2:
+        assert half.tobytes() == expected.tobytes()
+    else:
+        np.testing.assert_allclose(half, expected, rtol=1e-15, atol=0)
+    assert values.tobytes() == fine.norms(columns).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_norm_reads_its_error_from_one_pass(k):
+    rng = np.random.default_rng(7 + k)
+    space = FunctionLr(1.5, k)
+    x = _random_trig(rng, k)
+    est = norm(space, x)
+    value = CombinationEvaluator(space, [x], NORM_GRID).norms(np.ones(1))[0]
+    rough = CombinationEvaluator(space, [x]).norms(np.ones(1))[0]
+    assert est.value == value
+    assert est.samples_used == CombinationEvaluator(space, [x], NORM_GRID).grid_points
+    if k <= 2:
+        assert est.quad_error == abs(value - rough)
+    else:  # each norm within 1e-15 relative of its own pass
+        assert est.quad_error == pytest.approx(abs(value - rough), rel=0, abs=2e-15 * value)
