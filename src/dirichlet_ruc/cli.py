@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import bohr, constants, dirichlet, randomized
-from .errors import ValidationError
+from .errors import UndefinedRatioError, ValidationError
 from .sampling import Estimate, SamplerConfig
 from .serialization import parse_problem
 
@@ -524,7 +524,7 @@ def run(argv: list[str], out=None, err=None) -> int:
         if args.command == "experiment":
             return _cmd_experiment(args, out, err)
         raise ValidationError(f"unknown command {args.command!r}")
-    except (ValidationError, ValueError, OverflowError, RuntimeError, OSError) as exc:
+    except (ValueError, UndefinedRatioError, OverflowError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 2
 

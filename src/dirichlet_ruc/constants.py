@@ -17,7 +17,7 @@ import numpy as np
 
 from .bohr import PrimeAP, prime_ap_search
 from .dirichlet import (
-    DirichletPolynomial, _lifted_hp_norm, dirichlet_kernel_l1, lift_arrays, scalar_polynomial
+    DirichletPolynomial, _quadrature_grid, _quadrature_norm, dirichlet_kernel_l1, lift_arrays, scalar_polynomial
 )
 from .errors import DomainError, UndefinedRatioError
 from .randomized import _HpradPlan, rademacher_average
@@ -30,7 +30,7 @@ from .sampling import (
     Estimate,
     PowerMoments,
     SamplerConfig,
-    panel_scope,
+    _held_columns,
     torus_characters,
     uniform_bits,
 )
@@ -49,10 +49,11 @@ from .spaces import (
 @dataclass(frozen=True)
 class RatioReport:
     """numerator / denominator.  quad_error is the quadrature error of a
-    ratio whose two norms come from one grid pass, |R_fine - R_half|, plus
-    in a function space |R_fine - R_inner| with R_inner the ratio on the
-    half inner grid of the same pass; None when they come from separate
-    passes, whose errors then propagate."""
+    ratio whose two norms come from one pass (see randomized._SamePass):
+    |R_fine - R_half| on the grid route, plus in a function space
+    |R_fine - R_inner|, the gap to the ratio on the half inner grid (alone
+    off the grid); None for a closed form or a quadrature denominator over
+    a Monte Carlo numerator, whose errors then propagate."""
 
     numerator: Estimate
     denominator: Estimate
@@ -89,7 +90,8 @@ class SearchConfig:
 
 class _RatioPlan:
     """ruc_ratio of every family of nonzero elements on the support of D,
-    given in support order: hprad_norm's plan, and the instance string,
+    given in support order: hprad_norm's plan, hp_norm's quadrature grid
+    where it takes one off hprad_norm's grid route, and the instance string,
     found once from D (see _HpradPlan for what each family must share
     with D)."""
 
@@ -97,17 +99,31 @@ class _RatioPlan:
         if D.is_zero():
             raise UndefinedRatioError("zero polynomial")
         self.D = D
-        self.hprad = _HpradPlan(D, p, cfg)
+        self.hprad = plan = _HpradPlan(D, p, cfg)
+        self.entries = plan.entries  # characters in the panels of the passes
+        # off the grid route, hp_norm's quadrature (p = 2, few variables) is
+        # far more accurate than the Monte Carlo pass's one pattern: kept
+        self.grid = None
+        if not plan.closed and plan.route is None:
+            self.grid = _quadrature_grid(plan.exponents, p, cfg, "auto")
+            if self.grid is not None:
+                self.entries += math.prod(self.grid[1]) * len(plan.xs)
         self.instance: str | None = None  # described once the first ratio stands
 
+    def hold(self) -> None:
+        """Have every pass read its panel drawn whole once."""
+        self.hprad.hold()
+        if self.grid is not None:
+            columns, fine, half = self.grid
+            self.grid = _held_columns(columns, math.prod(fine)), fine, half
+
     def evaluate(self, xs: list[Element]) -> RatioReport:
-        numerator, same = self.hprad.evaluate(xs)
-        if same is not None:
-            denominator, quad_error = same
-        else:
-            plan = self.hprad
-            denominator = _lifted_hp_norm(plan.space, xs, plan.exponents, plan.p, plan.cfg)
+        numerator, same = self.hprad.evaluate(xs, plain=self.grid is None)
+        if self.grid is not None:  # two passes, whose errors propagate
+            denominator = _quadrature_norm(self.D.space, xs, self.grid, self.hprad.p)
             quad_error = None
+        else:  # no pass runs for a closed form, which is also the plain norm's
+            denominator, quad_error = same if same is not None else (numerator, None)
         if self.instance is None:
             self.instance = describe_instance(self.D, self.hprad.p)
         return RatioReport(
@@ -119,15 +135,16 @@ class _RatioPlan:
         )
 
 
-@panel_scope()  # numerator and denominator read one torus panel
 def ruc_ratio(
     D: DirichletPolynomial, p: float, cfg: SamplerConfig | None = None
 ) -> RatioReport:
     """||D||_rad / ||D||: > 1 means sign-averaging exceeds the plain norm.
 
-    When hprad_norm takes its grid route, the denominator is the identity
-    coset of the same pass, so a support whose sign patterns form a single
-    coset has a ratio of exactly 1."""
+    The denominator is the identity pattern of hprad_norm's own pass, on
+    either route, so the two norms read one panel; on the grid route a
+    support whose sign patterns form a single coset has a ratio of exactly
+    1.  Off the grid route, where hp_norm would average on a grid (p = 2,
+    few variables), the denominator is that grid average instead."""
     plan = _RatioPlan(D, p, cfg if cfg is not None else SamplerConfig())
     return plan.evaluate(plan.hprad.xs)
 
@@ -165,7 +182,6 @@ def _sup_normalize(a: np.ndarray) -> np.ndarray:
     return a if top == 0 else a / top
 
 
-@panel_scope()  # every evaluation of the search reads the same panels
 def ruc_constant_search(
     space: SpaceSpec,
     vectors: Sequence[Element],
@@ -180,8 +196,10 @@ def ruc_constant_search(
     best ratio found is a lower bound on the true constant; ties keep the
     incumbent, and the all-ones start is always evaluated first.  Each
     support is lifted and routed once: its ratio plan is kept for every
-    candidate on it, so the reports are those of ruc_ratio bit for bit.  A
-    candidate equal to the incumbent's coefficients is not evaluated again.
+    candidate on it, so the reports are those of ruc_ratio bit for bit, and
+    the first plans hold their character panel while the panels held fit
+    _CHUNK_BUDGET entries in all.  A candidate equal to the incumbent's
+    coefficients is not evaluated again.
     """
     search_cfg = search_cfg if search_cfg is not None else SearchConfig()
     cfg = cfg if cfg is not None else SamplerConfig()
@@ -190,10 +208,12 @@ def ruc_constant_search(
         raise DomainError("need at least one nonzero vector")
     n = len(elements)
     plans: dict[tuple, _RatioPlan] = {}
+    held = 0  # entries of the panels the plans hold
 
     def evaluate(a: np.ndarray) -> RatioReport | None:
         """The report of sup-normalized coefficients a, or None when the
         polynomial is zero."""
+        nonlocal held
         indices = np.flatnonzero(a)
         xs = [scale_element(elements[i], a[i]) for i in indices]
         keep = nonzero_elements(space, xs)  # DirichletPolynomial.support's rule
@@ -207,6 +227,9 @@ def ruc_constant_search(
         plan = plans.get(key)
         if plan is None:
             plan = plans[key] = _RatioPlan(DirichletPolynomial(space, dict(zip(ns, xs))), p, cfg)
+            if 0 < plan.entries <= _CHUNK_BUDGET - held:
+                held += plan.entries
+                plan.hold()
         return plan.evaluate(xs)
 
     def restart_point(index: int) -> np.ndarray:
@@ -418,7 +441,7 @@ def experiment_summing_basis(
     moments = PowerMoments([2.0], mc=True)
     for lo in range(0, samples, chunk):
         count = min(chunk, samples - lo)
-        mult = torus_characters(exps, cfg.seed, STREAM_SUMMING, samples, lo, count) * a[None, :]
+        mult = torus_characters(exps, cfg.seed, STREAM_SUMMING, lo, count) * a[None, :]
         tails = np.cumsum(mult[:, ::-1], axis=1)[:, ::-1]
         moments.add(np.abs(tails).max(axis=1))
     est = moments.estimates()[0]

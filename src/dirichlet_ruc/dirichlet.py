@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .bohr import MultiIndex, factorize
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, check_power
 from .sampling import (
     MODE_EXACT,
     MODE_QUADRATURE,
@@ -146,6 +146,40 @@ def _exponent_rows(ns: list[int]) -> np.ndarray:
     return exps
 
 
+def _quadrature_grid(exponents: np.ndarray, p: float, cfg: SamplerConfig, method: str):
+    """(columns, fine, half) of the grid on which `method` averages the H_p
+    norm of sum x_n * z^{E[n]}, columns(lo, n) giving the characters at its
+    points [lo, lo + n) as columns; None when the Monte Carlo panel is taken
+    instead."""
+    variables = np.count_nonzero(exponents.any(axis=0))
+    if method == "quadrature" or (
+        method == "auto" and p == 2 and variables <= QUADRATURE_MAX_VARIABLES
+    ):
+        policy = cfg.grid_policy
+        used, sizes, halves = _grid_sizes(exponents, policy)
+        points = math.prod(sizes)
+        if points <= policy.max_points:
+            return _grid_columns(used, sizes), sizes, halves
+        if method == "quadrature":
+            raise ResourceError(
+                f"quadrature grid of {points} points exceeds {policy.max_points}"
+            )
+    return None
+
+
+def _quadrature_norm(space: SpaceSpec, xs: list[Element], grid: tuple, p: float) -> Estimate:
+    """The H_p norm on a _quadrature_grid: the outer grid's gap, plus a
+    function space's inner one, is the error."""
+    columns, fine, half = grid
+    (est,), (rough,), _ = grid_moments(space, xs, columns, fine, half, [p])
+    return Estimate(
+        value=est.value,
+        samples_used=est.samples_used,
+        mode=MODE_QUADRATURE,
+        quad_error=abs(est.value - rough.value) + est.quad_error,
+    )
+
+
 def _polytorus_norm(
     space: SpaceSpec,
     xs: list[Element],
@@ -157,31 +191,14 @@ def _polytorus_norm(
     """Shared engine for H_p and circle norms of sum x_n * z^{E[n]}."""
     # The grid spans only the variables some term uses; the Monte Carlo
     # panel keeps every column, since its width fixes the counter stream.
-    variables = np.count_nonzero(exponents.any(axis=0))
-    if method == "quadrature" or (
-        method == "auto" and p == 2 and variables <= QUADRATURE_MAX_VARIABLES
-    ):
-        policy = cfg.grid_policy
-        used, sizes, halves = _grid_sizes(exponents, policy)
-        points = math.prod(sizes)
-        if points <= policy.max_points:
-            (fine,), (rough,), _ = grid_moments(space, xs, _grid_columns(used, sizes), sizes, halves, [p])
-            return Estimate(  # the outer grid's gap, plus a function space's inner one
-                value=fine.value,
-                samples_used=fine.samples_used,
-                mode=MODE_QUADRATURE,
-                quad_error=abs(fine.value - rough.value) + fine.quad_error,
-            )
-        if method == "quadrature":
-            raise ResourceError(
-                f"quadrature grid of {points} points exceeds {policy.max_points}"
-            )
-    samples = cfg.samples
+    grid = _quadrature_grid(exponents, p, cfg, method)
+    if grid is not None:
+        return _quadrature_norm(space, xs, grid, p)
 
     def draw(lo: int, count: int) -> np.ndarray:
-        return torus_characters(exponents, cfg.seed, STREAM_TORUS, samples, lo, count).T
+        return torus_characters(exponents, cfg.seed, STREAM_TORUS, lo, count).T
 
-    return combination_moments(space, xs, draw, samples, [p], mc=True)[0]
+    return combination_moments(space, xs, draw, cfg.samples, [p], mc=True)[0]
 
 
 def _closed_form(
@@ -192,8 +209,7 @@ def _closed_form(
     method allows it: for "auto" and "exact", and for every method when no
     variable is left to average over (no terms, or the single term n = 1).
     None means a polytorus route has to run."""
-    if p < 1:
-        raise DomainError("p must be >= 1")
+    check_power("p", p)
     if method not in ("auto", "exact", "quadrature", "mc"):
         raise DomainError(f"unknown method {method!r}")
     closed = None
@@ -216,23 +232,11 @@ def hp_norm(
     default "auto" follows the selection rules.
     """
     xs, exps, _ = lift_arrays(D)
-    return _lifted_hp_norm(D.space, xs, exps, p, cfg, method)
-
-
-def _lifted_hp_norm(
-    space: SpaceSpec,
-    xs: list[Element],
-    exponents: np.ndarray,
-    p: float,
-    cfg: SamplerConfig | None,
-    method: str = "auto",
-) -> Estimate:
-    """hp_norm of the lift (xs, exponents) of a polynomial."""
-    closed = _closed_form(space, xs, exponents, p, method)
+    closed = _closed_form(D.space, xs, exps, p, method)
     if closed is not None:
         return closed
     cfg = cfg if cfg is not None else SamplerConfig()
-    return _polytorus_norm(space, xs, exponents, p, cfg, method)
+    return _polytorus_norm(D.space, xs, exps, p, cfg, method)
 
 
 def circle_hp_norm(

@@ -1,8 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the domain check of a norm power."""
 
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
+
+
+def check_power(name: str, value: float) -> None:
+    """Refuse a norm power p or q that is not a finite number >= 1 (NaN
+    compares False both ways, so `value < 1` alone lets it through)."""
+    if not 1 <= value < float("inf"):
+        raise DomainError(f"{name} must be >= 1 and finite")
 
 
 class ShapeError(ValueError):

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .dirichlet import DirichletPolynomial, lift_arrays
-from .errors import DomainError, UndefinedRatioError
+from .errors import DomainError, UndefinedRatioError, check_power
 from .sampling import (
     MODE_MC,
     MODE_QUADRATURE,
@@ -31,9 +31,11 @@ from .sampling import (
     STREAM_TORUS,
     _CHUNK_BUDGET,
     Estimate,
+    PowerMoments,
     SamplerConfig,
     _grid_columns,
     _grid_sizes,
+    _held_columns,
     block_stderr,
     combined_stderr,
     gaussian_samples,
@@ -49,6 +51,7 @@ from .spaces import (
     SpaceSpec,
     _inner_grid,
     _mirrored,
+    _moment_chunk,
     as_element,
     closed_form,
     combination_moments,
@@ -120,8 +123,7 @@ def rademacher_average(
     xs: Sequence, space: SpaceSpec, q: float, cfg: SamplerConfig | None = None
 ) -> Estimate:
     """(E || sum_n eps_n x_n ||^q)^(1/q) over independent random signs."""
-    if q < 1:
-        raise DomainError("q must be >= 1")
+    check_power("q", q)
     cfg = cfg if cfg is not None else SamplerConfig()
     elements = _family(space, xs)
     closed = closed_form(space, elements, q)
@@ -135,8 +137,7 @@ def steinhaus_average(
 ) -> Estimate:
     """Like rademacher_average with uniform unimodular multipliers (no exact
     enumeration; Monte Carlo except for moment closed forms)."""
-    if q < 1:
-        raise DomainError("q must be >= 1")
+    check_power("q", q)
     cfg = cfg if cfg is not None else SamplerConfig()
     elements = _family(space, xs)
     closed = closed_form(space, elements, q)
@@ -166,8 +167,7 @@ def gaussian_average(
 ) -> Estimate:
     """Gaussian-multiplier average; `variant` picks complex (default) or real
     standard Gaussians (the latter exists for mean-absolute-value checks)."""
-    if q < 1:
-        raise DomainError("q must be >= 1")
+    check_power("q", q)
     if variant not in ("complex", "real"):
         raise DomainError(f"unknown gaussian variant {variant!r}")
     cfg = cfg if cfg is not None else SamplerConfig()
@@ -295,23 +295,24 @@ def _grid_route(
 
 
 class _SamePass(NamedTuple):
-    """What a grid-route hprad_norm learns besides its value: the plain norm
-    (the identity coset) and the ratio's quadrature error, |R - R_half| plus
-    in a function space |R - R_inner|, both half grids read from one pass."""
+    """What hprad_norm's pass gives besides its value: the plain norm (the
+    identity pattern's average) and the ratio's quadrature error, both from
+    that pass: |R - R_half| on the grid route, plus in a function space
+    |R - R_inner| with the half inner grid's ratio (alone off the grid)."""
 
     denominator: Estimate
     ratio_quad_error: float
 
 
 def _grid_hprad(
-    space: SpaceSpec, xs: list[Element], route: tuple, p: float
+    space: SpaceSpec, xs: list[Element], route: tuple, p: float, columns: Callable
 ) -> tuple[Estimate, _SamePass]:
-    """hprad_norm on the grid route: per coset pattern, the grid average of
-    g^p on the grid and on its half grid, read from one pass over the grid;
-    the value is the mean over cosets of its p-th root, and its error the
-    gap between the two grids."""
-    used, fine, half, signs = route
-    columns = _grid_columns(used, fine)
+    """hprad_norm on the grid route, columns(lo, n) giving the characters at
+    grid points [lo, lo + n) as columns: per coset pattern, the grid average
+    of g^p on the grid and on its half grid, read from one pass over the
+    grid; the value is the mean over cosets of its p-th root, and its error
+    the gap between the two grids."""
+    _, fine, half, signs = route
     grid, rough, inner = grid_moments(space, xs, columns, fine, half, [p], patterns=signs)
     num = float(np.mean([e.value for e in grid]))
     num_half = float(np.mean([e.value for e in rough]))
@@ -350,33 +351,48 @@ def _coordinate_columns(
 
 class _HpradPlan:
     """hprad_norm of every family of nonzero elements on the support of D,
-    given in support order: the lift, the closed-form check and the route,
-    found once from D.  A function space's route also depends on the
-    family's inner grid, so every family evaluated must have D's.  Grid
-    characters come from the panel memo of an open panel_scope."""
+    given in support order: the lift, the closed-form check, the route and
+    the character panel of its pass (the grid's or the torus draws), found
+    once from D.  A function space's route also depends on the family's
+    inner grid, so every family evaluated must have D's.  Each pass draws
+    the panel a chunk at a time unless the caller has the plan hold it."""
 
     def __init__(self, D: DirichletPolynomial, p: float, cfg: SamplerConfig):
-        if p < 1:
-            raise DomainError("p must be >= 1")
+        check_power("p", p)
         self.space, self.p, self.cfg = D.space, p, cfg
         self.xs, self.exponents, _ = lift_arrays(D)
         m = len(self.xs)
         # closed_form's cases for nonzero elements: none or one, or Parseval
         self.closed = m <= 1 or (p == 2 and is_hilbertian(self.space))
         self.route = None
-        if not self.closed:
-            _, evaluated, exact, _ = _sign_rule(m, cfg, min(4096, cfg.samples), STREAM_OUTER_SIGNS)
-            if exact:
-                self.route = _grid_route(self.space, self.xs, self.exponents, cfg, evaluated)
+        self.entries = 0  # characters in the panel
+        if self.closed:
+            return
+        _, evaluated, exact, _ = _sign_rule(m, cfg, min(4096, cfg.samples), STREAM_OUTER_SIGNS)
+        if exact:
+            self.route = _grid_route(self.space, self.xs, self.exponents, cfg, evaluated)
+        if self.route is not None:
+            used, fine = self.route[:2]
+            self.columns = _grid_columns(used, fine)
+            self.entries = math.prod(fine) * m
+        else:
+            exponents = self.exponents
+            self.columns = lambda lo, n: torus_characters(exponents, cfg.seed, STREAM_TORUS, lo, n).T
+            self.entries = cfg.samples * m
 
-    def evaluate(self, xs: list[Element]) -> tuple[Estimate, _SamePass | None]:
-        """(hprad_norm, and on the grid route the identity coset's plain norm
-        and the ratio's quadrature error)."""
+    def hold(self) -> None:
+        """Draw the panel whole once; every pass then reads columns of it."""
+        self.columns = _held_columns(self.columns, self.entries // len(self.xs))
+
+    def evaluate(self, xs: list[Element], plain: bool) -> tuple[Estimate, _SamePass | None]:
+        """(hprad_norm, and on the grid route, or off it if `plain` asks for
+        it, the plain norm and the ratio's quadrature error from the same
+        pass; None for a closed form or when not asked)."""
         if self.closed:
             return closed_form(self.space, xs, self.p), None
         if self.route is not None:
-            return _grid_hprad(self.space, xs, self.route, self.p)
-        return _mc_hprad(self.space, xs, self.exponents, self.p, self.cfg), None
+            return _grid_hprad(self.space, xs, self.route, self.p, self.columns)
+        return _mc_hprad(self.space, xs, self.p, self.cfg, self.columns, plain)
 
 
 def hprad_norm(
@@ -392,7 +408,9 @@ def hprad_norm(
     (_grid_cosets), and the half grid's gap is the error.  Otherwise inner
     H_p norms share one polytorus sample panel across all sign patterns
     (common random numbers); the stderr combines 10-block panel resampling
-    with pattern-sampling variance and is approximate.
+    with pattern-sampling variance and is approximate.  Either pass can
+    also give the plain norm, the identity pattern's average, which
+    ruc_ratio reads as its denominator; alone, the Monte Carlo pass skips it.
 
     The Monte Carlo route evaluates every pattern, not one per coset of the
     whole torus: another pattern of a coset is its representative at a
@@ -402,20 +420,29 @@ def hprad_norm(
     time of evaluating every pattern.
     """
     plan = _HpradPlan(D, p, cfg if cfg is not None else SamplerConfig())
-    return plan.evaluate(plan.xs)[0]
+    return plan.evaluate(plan.xs, plain=False)[0]
 
 
 def _mc_hprad(
-    space: SpaceSpec, xs: list[Element], exps: np.ndarray, p: float, cfg: SamplerConfig
-) -> Estimate:
-    """hprad_norm off the grid route: one torus panel for every sign pattern,
-    and in a function space the half inner grid's gap as quad_error."""
+    space: SpaceSpec, xs: list[Element], p: float, cfg: SamplerConfig, draw_columns: Callable, plain: bool
+) -> tuple[Estimate, _SamePass | None]:
+    """hprad_norm off the grid route: one torus panel, draw_columns(lo, n)
+    giving its draws [lo, lo + n) as columns, for every sign pattern, and in
+    a function space the half inner grid's gap as quad_error.  With `plain`,
+    also the plain norm, the identity's average on that panel: enumerated,
+    pattern 0 (all -1, the identity's norms bit for bit); sampled, an
+    all-ones pattern after the sampled ones, outside their mean and
+    variance."""
     m = len(xs)
     draw, evaluated, exact_outer, mirrored = _sign_rule(
         m, cfg, min(4096, cfg.samples), STREAM_OUTER_SIGNS
     )
     patterns = evaluated << mirrored  # the negated half is mirrored in below
-    signs = np.ascontiguousarray(draw(0, evaluated))  # (m, evaluated); F order would switch BLAS rounding
+    signs, identity = draw(0, evaluated), 0
+    if plain and not exact_outer:
+        signs, identity = np.column_stack([signs, np.ones(m)]), evaluated
+    signs = np.ascontiguousarray(signs)  # (m, width); F order would switch BLAS rounding
+    width = signs.shape[1]
 
     samples = cfg.samples
     evaluator = CombinationEvaluator(space, xs)
@@ -427,10 +454,10 @@ def _mc_hprad(
         matrix = evaluator.matrix  # (d, m)
         d = matrix.shape[0]
         z_chunk = max(1, _PATTERN_CHUNK // max(patterns // 16, 1))
-        sign_rows = np.ascontiguousarray(signs.T)  # (evaluated, m)
+        sign_rows = np.ascontiguousarray(signs.T)  # (width, m)
         # one buffer for the gemms of every chunk: a fresh one per chunk
         # costs a page fault per 4 KiB written
-        buffer = np.empty(evaluated * 2 * min(z_chunk, samples))
+        buffer = np.empty(width * 2 * min(z_chunk, samples))
     else:
         z_chunk = max(1, (1 << 22) // max(evaluator.grid_points * patterns, 1))
     # characters are drawn for many chunks at once; rows depend on their index alone
@@ -438,28 +465,36 @@ def _mc_hprad(
 
     power_sums = np.zeros((blocks, evaluated))
     half_sums = np.zeros(evaluated)  # per pattern, on the half inner grid
+    # the identity's norms, and in a function space those on the half inner grid
+    plain_moments = []
+    if plain:  # summed in the chunks of hp_norm's own pass
+        chunk = _moment_chunk(evaluator)
+        plain_moments = [PowerMoments([p], mc=True, chunk=chunk), PowerMoments([p], chunk=chunk)]
     for lo in range(0, samples, z_chunk):
         count = min(z_chunk, samples - lo)
         if lo % panel_rows == 0:
-            panel = torus_characters(
-                exps, cfg.seed, STREAM_TORUS, samples, lo, min(panel_rows, samples - lo)
-            )  # (rows, m)
+            panel = draw_columns(lo, min(panel_rows, samples - lo))  # (m, rows)
             if coordinate:
-                columns = np.ascontiguousarray(panel.T)  # (m, rows)
+                columns = np.ascontiguousarray(panel)
         at = lo % panel_rows
-        mult = panel[at : at + count]  # (count, m)
+        mult = panel[:, at : at + count].T  # (count, m)
         if coordinate:
             if count > 1 and d > 1:  # one gemm per coordinate, reduced as it arrives
                 parts = _coordinate_columns(columns[:, at : at + count], matrix, sign_rows, buffer)
                 g = np.ascontiguousarray(coordinate_norms_of_rows(space, parts).T)
             else:  # numpy would call gemv, which rounds unlike gemm: per-sample gemms
                 combos = np.moveaxis((mult[:, None, :] * matrix[None, :, :]) @ signs, 1, 0)
-                g = coordinate_norms(space, combos.reshape(d, -1))  # (count * patterns,)
+                g = coordinate_norms(space, combos.reshape(d, -1))  # (count * width,)
+            norms = [g]
         else:  # every (sample, pattern) coefficient column, sample-major
-            half = np.empty(count * evaluated)
+            half = np.empty(count * width)
             g = evaluator.norms((mult.T[:, :, None] * signs[:, None, :]).reshape(m, -1), half)
-            half_sums += (half**p).reshape(count, -1).sum(axis=0)
-        gp = (g**p).reshape(count, -1)
+            half_sums += (half**p).reshape(count, -1)[:, :evaluated].sum(axis=0)
+            norms = [g, half]
+        for acc, values in zip(plain_moments, norms):
+            acc.add(values.reshape(count, -1)[:, identity])
+        g **= p  # in place, once the identity's norms are summed
+        gp = g.reshape(count, -1)[:, :evaluated]
         for b in range(blocks):
             rows = slice(max(bounds[b], lo) - lo, min(bounds[b + 1], lo + count) - lo)
             if rows.start < rows.stop:
@@ -470,22 +505,34 @@ def _mc_hprad(
     total_means = power_sums.sum(axis=0) / samples  # per-pattern E_z g^p
     inner = total_means ** (1.0 / p)
     value = float(inner.mean())
-    quad_error = 0.0 if coordinate else abs(value - float(((half_sums / samples) ** (1.0 / p)).mean()))
+    quad_error = rough = 0.0
+    if not coordinate:
+        rough = float(((half_sums / samples) ** (1.0 / p)).mean())
+        quad_error = abs(value - rough)
+    same = None
+    if plain:
+        moments, half_moments = plain_moments
+        denominator = moments.estimates(None if coordinate else half_moments)[0]
+        gap = 0.0  # the ratio's gap to that on the half inner grid
+        if not coordinate:
+            den_rough = half_moments.estimates()[0].value
+            positive = denominator.value > 0 and den_rough > 0
+            gap = abs(value / denominator.value - rough / den_rough) if positive else math.inf
+        same = _SamePass(denominator, gap)
 
     counts = np.diff(bounds)
     block_values = [float(((power_sums[b] / counts[b]) ** (1.0 / p)).mean()) for b in range(blocks)]
     stderr = block_stderr(np.array(block_values))
     if not exact_outer and patterns > 1:
         stderr = math.sqrt(stderr**2 + float(inner.var(ddof=1)) / patterns)
-    return Estimate(value, stderr, samples, MODE_MC, quad_error)
+    return Estimate(value, stderr, samples, MODE_MC, quad_error), same
 
 
 def kahane_ratio(
     xs: Sequence, space: SpaceSpec, p: float, cfg: SamplerConfig | None = None
 ) -> float:
     """(E ||S||^p)^(1/p) / E ||S|| for S = sum eps_n x_n; >= 1 by Jensen."""
-    if p < 1:
-        raise DomainError("p must be >= 1")
+    check_power("p", p)
     cfg = cfg if cfg is not None else SamplerConfig()
     elements = _family(space, xs)
     if all(element_is_zero(x) for x in elements):
@@ -518,8 +565,8 @@ def contraction_check(
     a = np.asarray(list(a), dtype=np.complex128)
     if a.shape != (len(elements),):
         raise DomainError("coefficient count must match element count")
-    if np.abs(a).max() > 1 + 1e-12:
-        raise DomainError("coefficients must satisfy max |a_n| <= 1")
+    if not np.abs(a).max() <= 1 + 1e-12:  # NaN and infinities fail too
+        raise DomainError("coefficients must be finite with max |a_n| <= 1")
     lhs = _sign_moments(space, elements, a, [1.0], cfg)[0]
     base = _sign_moments(space, elements, None, [1.0], cfg)[0]
     rhs = base.scaled(math.pi / 2)

@@ -10,8 +10,6 @@ finalizer applied to structured counters, vectorized over numpy uint64
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -32,8 +30,7 @@ STREAM_OUTER_SIGNS = 5
 STREAM_SEARCH = 6
 STREAM_SUMMING = 7
 
-_CHUNK_BUDGET = 1 << 21  # complex entries per matmul block, and in the panel memo
-_PANELS: ContextVar[dict | None] = ContextVar("dirichlet_ruc_panels", default=None)
+_CHUNK_BUDGET = 1 << 21  # complex entries per matmul block, and in a search's held panels
 
 
 @dataclass(frozen=True)
@@ -297,49 +294,20 @@ def character_values(exponents: np.ndarray, fractions: np.ndarray) -> np.ndarray
     return fixed_point_to_complex(words)
 
 
-@contextmanager
-def panel_scope():
-    """Memoize torus and grid character panels inside the block; nested
-    blocks share one memo."""
-    token = _PANELS.set({} if _PANELS.get() is None else _PANELS.get())
-    try:
-        yield
-    finally:
-        _PANELS.reset(token)
-
-
-def _panel_rows(key: tuple, rows: int, width: int, draw, start: int, count: int) -> np.ndarray:
-    """Rows [start, start + count) of the (rows, width) panel that draw(lo, n)
-    draws n rows of.  Inside panel_scope, the first panels drawn, up to
-    _CHUNK_BUDGET entries in all, are memoized whole under `key` and handed
-    out as views (not to be written).  Rows are pure functions of their
-    index, so a view and a fresh chunk agree bit for bit."""
-    memo = _PANELS.get()
-    if memo is not None and key not in memo:
-        if sum(v.size for v in memo.values()) + rows * width <= _CHUNK_BUDGET:
-            memo[key] = draw(0, rows)
-    if memo is None or key not in memo:  # no scope, or no room left in the memo
-        return draw(start, count)
-    return memo[key][start : start + count]
-
-
 def torus_characters(
-    exponents: np.ndarray, seed: int, stream: int, samples: int, start: int, count: int
+    exponents: np.ndarray, seed: int, stream: int, start: int, count: int
 ) -> np.ndarray:
-    """Rows [start, start + count) of the (samples, terms) panel of z^alpha at
-    the torus draws of (seed, stream), memoized inside panel_scope.
+    """Rows [start, start + count) of the panel of z^alpha at the torus
+    draws of (seed, stream), one row per draw and one column per term.
 
     Only the variables some term uses are drawn: their counters, and so their
     words, are those of the full (samples, variables) draw, and an unused
-    variable contributes exponent 0, so the bytes are those of the full panel."""
-
-    def draw(lo: int, rows: int) -> np.ndarray:
-        used = np.flatnonzero(exponents.any(axis=0))
-        fractions = uniform_bits(seed, stream, rows, exponents.shape[1], lo, columns=used)
-        return character_values(exponents[:, used], fractions)
-
-    key = (exponents.tobytes(), exponents.shape, seed, stream, samples)
-    return _panel_rows(key, samples, len(exponents), draw, start, count)
+    variable contributes exponent 0, so the bytes are those of the full panel.
+    Rows are pure functions of their index, so a chunk and the same rows of a
+    panel drawn whole agree bit for bit."""
+    used = np.flatnonzero(exponents.any(axis=0))
+    fractions = uniform_bits(seed, stream, count, exponents.shape[1], start, columns=used)
+    return character_values(exponents[:, used], fractions)
 
 
 def grid_characters(
@@ -347,19 +315,14 @@ def grid_characters(
 ) -> np.ndarray:
     """Rows [start, start + count) of the (points, terms) panel of z^alpha at
     the tensor grid of `sizes` (one size per column of `exponents`, C order,
-    the last variable fastest), memoized inside panel_scope."""
+    the last variable fastest)."""
     steps = [_U64(2**64 // g) for g in sizes]  # grid angles in 64-bit fixed point
-
-    def draw(lo: int, rows: int) -> np.ndarray:
-        index = np.arange(lo, lo + rows, dtype=np.uint64)
-        fractions = np.empty((rows, len(sizes)), dtype=np.uint64)
-        for j in reversed(range(len(sizes))):
-            fractions[:, j] = index % _U64(sizes[j]) * steps[j]
-            index //= _U64(sizes[j])
-        return character_values(exponents, fractions)
-
-    key = ("grid", exponents.tobytes(), exponents.shape, tuple(sizes))
-    return _panel_rows(key, math.prod(sizes), len(exponents), draw, start, count)
+    index = np.arange(start, start + count, dtype=np.uint64)
+    fractions = np.empty((count, len(sizes)), dtype=np.uint64)
+    for j in reversed(range(len(sizes))):
+        fractions[:, j] = index % _U64(sizes[j]) * steps[j]
+        index //= _U64(sizes[j])
+    return character_values(exponents, fractions)
 
 
 def _grid_sizes(exponents: np.ndarray, policy: GridPolicy):
@@ -389,6 +352,13 @@ def _grid_columns(exponents: np.ndarray, sizes: Sequence[int]):
     return draw
 
 
+def _held_columns(draw, points: int):
+    """draw(lo, n) reading views (not to be written) of draw's points [0,
+    points), drawn whole once: a column depends on its index alone."""
+    panel = draw(0, points)
+    return lambda lo, n: panel[:, lo : lo + n]
+
+
 class PowerMoments:
     """Running sums of g^q over norm values g, one per power q and column
     group, turned into Estimates of (E g^q)^(1/q).
@@ -402,17 +372,30 @@ class PowerMoments:
     sqrt(var / n) * value / (q * mean) with var the unbiased variance of g^q.
     """
 
-    def __init__(self, powers: Sequence[float], mc: bool = False, groups: int = 1):
+    def __init__(self, powers: Sequence[float], mc: bool = False, groups: int = 1, chunk: int = 0):
         self.powers = tuple(powers)
         self.mc = mc
         self.groups = groups
+        self.chunk = chunk
         self.sums = np.zeros((len(self.powers), groups))
         self.shifts = np.zeros_like(self.sums)
         self.shifted = np.zeros_like(self.sums)
         self.squares = np.zeros_like(self.sums)
         self.count = 0  # values per group
+        self.pending = np.empty(0)  # values not summed until their chunk is full
 
     def add(self, g: np.ndarray) -> None:
+        """Sum the powers of g's values; with `chunk`, in chunks of that many
+        points whatever sizes g comes in, so the sums are those of such adds."""
+        if not self.chunk:
+            return self._sum(g)
+        self.pending = np.concatenate([self.pending, g.reshape(-1)])
+        size = self.chunk * self.groups
+        while self.pending.size >= size:
+            self._sum(self.pending[:size])
+            self.pending = self.pending[size:]
+
+    def _sum(self, g: np.ndarray) -> None:
         for i, q in enumerate(self.powers):
             gq = (g**q).reshape(-1, self.groups)
             self.sums[i] += gq.sum(axis=0)
@@ -435,7 +418,10 @@ class PowerMoments:
         """One Estimate per power and group, power-major: mc mode with the
         delta-method stderr in Monte Carlo mode, else quadrature when `rough`
         holds the same sums on a coarser grid (the gap between the two values
-        is the error), else exact."""
+        is the error), else exact.  A last part chunk is summed first."""
+        if self.pending.size:
+            self._sum(self.pending)
+            self.pending = self.pending[:0]
         n = self.count
         mode = MODE_MC if self.mc else MODE_QUADRATURE if rough is not None else MODE_EXACT
         coarse = None if rough is None else rough.estimates()

@@ -277,6 +277,11 @@ def _element_from_payload(space: SpaceSpec, payload, pointer: str):
     return TrigPolynomial(coeffs, space.k)
 
 
+def _refuse_constant(name: str):
+    """Python's json reads NaN, Infinity and -Infinity, which JSON has not."""
+    raise ValidationError(f"invalid JSON: {name} is not a JSON number")
+
+
 def parse_problem(text: bytes | str) -> ParsedProblem:
     """Parse and validate a problem file; see PROBLEM_SCHEMA."""
     if isinstance(text, bytes):
@@ -285,7 +290,7 @@ def parse_problem(text: bytes | str) -> ParsedProblem:
         except UnicodeDecodeError as exc:
             raise ValidationError(f"not UTF-8: {exc}") from exc
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=_refuse_constant)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid JSON: {exc}") from exc
     _check_schema(data)

@@ -453,6 +453,14 @@ def grid_moments(
     return moments[0].estimates(inner), rough.estimates(), None if inner is None else inner.estimates()
 
 
+def _moment_chunk(evaluator: CombinationEvaluator) -> int:
+    """Columns per chunk of a pass over one pattern: _PATTERN_CHUNK norms in
+    a coordinate space, _CHUNK_BUDGET grid values in a function space."""
+    if is_coordinate(evaluator.space):
+        return _PATTERN_CHUNK
+    return max(1, _CHUNK_BUDGET // evaluator.grid_points)
+
+
 def _moment_pass(
     space: SpaceSpec,
     xs: Sequence[Element],
@@ -471,13 +479,11 @@ def _moment_pass(
     evaluator = CombinationEvaluator(space, xs, patterns=patterns)
     groups = evaluator.patterns
     moments = [PowerMoments(powers, mc, groups)]
-    chunk = _PATTERN_CHUNK
     if not is_coordinate(space):
         moments.append(PowerMoments(powers, groups=groups))
-        chunk = max(1, _CHUNK_BUDGET // evaluator.grid_points)
-    chunk = max(1, chunk // groups)
-    rough = None if coarse is None else PowerMoments(powers, groups=groups)
-    picked = np.empty((0, groups))  # coarse columns' norms not summed yet
+    chunk = max(1, _moment_chunk(evaluator) // groups)
+    # the coarse columns' norms, summed in the chunks of the coarse grid's own pass
+    rough = None if coarse is None else PowerMoments(powers, groups=groups, chunk=chunk)
     several = mirrored and 2 * count > chunk  # all the patterns span several chunks
     late = []  # (moments, reversed chunk's moments) of the mirrored chunks
     summed = None  # the chunks' combinations, when built from the first chunk's
@@ -488,10 +494,7 @@ def _moment_pass(
         half = None if is_coordinate(space) else np.empty(n * groups)
         g = evaluator.norms(draw(lo, n), half) if summed is None else coordinate_norms(space, next(summed))
         if rough is not None:
-            picked = np.concatenate([picked, g.reshape(n, groups)[coarse[lo : lo + n]]])
-            while len(picked) >= chunk:  # a chunk of the coarse grid's own pass
-                rough.add(picked[:chunk].reshape(-1))
-                picked = picked[chunk:]
+            rough.add(g.reshape(n, groups)[coarse[lo : lo + n]])
         for g, acc in zip((g, half), moments):
             if several:
                 tail = PowerMoments(powers)
@@ -500,8 +503,6 @@ def _moment_pass(
             elif mirrored:
                 g = _mirrored(g)
             acc.add(g)
-    if len(picked):
-        rough.add(picked.reshape(-1))
     for acc, tail in reversed(late):
         acc.merge(tail)
     return moments, rough

@@ -37,6 +37,19 @@ GOLDEN_COMMANDS = {
         "ruc-search", "--input", fix("sup_summing3.json"),
         "--restarts", "1", "--iterations", "2",
     ],
+    # The same problem with every grid refused: the Monte Carlo route.
+    "ruc_ratio_summing_mc": ["ruc-ratio", "--input", fix("sup_summing3_mc.json")],
+    "ruc_search_summing_mc": [
+        "ruc-search", "--input", fix("sup_summing3_mc.json"),
+        "--restarts", "1", "--iterations", "2",
+    ],
+    # Sampled signs refuse the ratio's grid route while hp_norm's grid fits:
+    # the numerator is Monte Carlo, the denominator quadrature.
+    "ruc_ratio_summing_sampled": ["ruc-ratio", "--input", fix("sup_summing3_sampled.json")],
+    "ruc_search_summing_sampled": [
+        "ruc-search", "--input", fix("sup_summing3_sampled.json"),
+        "--restarts", "1", "--iterations", "2",
+    ],
     "type_witness_l2pair": ["type-witness", "--input", fix("l2pair.json")],
     "cotype_witness_l2pair": ["cotype-witness", "--input", fix("l2pair.json")],
     "experiment_prime_ap": [
@@ -110,6 +123,36 @@ def test_grid_policy_below_the_smallest_grid_exits_2(tmp_path):
         code, out, err = run_cli([command, "--input", str(path)])
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "min_size >= 3" in err and "Traceback" not in err
+
+
+def test_zero_polynomial_ratio_exits_2(tmp_path):
+    problem = json.loads((FIXTURES / "sup_summing3.json").read_text())
+    for term in problem["terms"]:
+        term["x"] = [[0, 0]] * 3
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(problem))
+    # ruc-ratio let UndefinedRatioError (a ZeroDivisionError) escape as a traceback
+    for command in ("ruc-ratio", "ruc-search", "type-witness"):
+        code, out, err = run_cli([command, "--input", str(path)])
+        assert (code, out) == (2, ""), command
+        assert err.startswith("error:") and "Traceback" not in err, command
+    assert run_cli(["ruc-ratio", "--input", str(path)])[2] == "error: zero polynomial\n"
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_p_exits_2(tmp_path, literal):
+    text = (FIXTURES / "sup_summing3.json").read_text().replace('"p": 2', f'"p": {literal}')
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match="invalid JSON"):
+        parse_problem(text)  # Python's json reads these; JSON has no such numbers
+    for argv in (
+        ["norm", "--input", str(path)],
+        ["norm", "--input", fix("sup_summing3.json"), f"--p={float(literal)}"],
+    ):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:"), argv
 
 
 def test_validation_error_pointers():

@@ -32,7 +32,7 @@ from dirichlet_ruc import (
     type_constant_witness,
 )
 from dirichlet_ruc import norm as space_norm
-from dirichlet_ruc import constants, sampling
+from dirichlet_ruc import constants, randomized, sampling
 
 CFG = SamplerConfig(seed=13, samples=2000)
 # Refuses every quadrature grid, so hprad_norm takes its Monte Carlo route.
@@ -142,7 +142,7 @@ def _counting_character_values(monkeypatch):
     return calls
 
 
-def test_search_shares_one_panel_and_leaves_no_memo(monkeypatch):
+def test_search_draws_each_support_panel_once(monkeypatch):
     calls = _counting_character_values(monkeypatch)
     family = summing_family(4)
     cfg = SamplerConfig(seed=9, samples=700, grid_policy=NO_GRID)
@@ -151,25 +151,24 @@ def test_search_shares_one_panel_and_leaves_no_memo(monkeypatch):
     scfg = SearchConfig(restarts=1, iterations=3, initial_step=0.125)
     ruc_constant_search(SupSpace(4), family, 1, scfg, cfg)
     assert calls == [700]
-    assert sampling._PANELS.get() is None
 
 
-def test_ruc_ratio_drops_memo_when_it_raises(monkeypatch):
+def test_ruc_ratio_raises_on_a_non_positive_denominator(monkeypatch):
     seen = []
+    original = randomized._mc_hprad
 
-    def negative_denominator(space, xs, exponents, p, cfg):
-        seen.append(len(sampling._PANELS.get()))
-        return Estimate(value=-1.0)
+    def negative_denominator(*args):
+        numerator, same = original(*args)
+        seen.append(same.denominator.value)
+        return numerator, same._replace(denominator=Estimate(value=-1.0))
 
-    monkeypatch.setattr(constants, "_lifted_hp_norm", negative_denominator)
+    monkeypatch.setattr(randomized, "_mc_hprad", negative_denominator)
     D = DirichletPolynomial(SupSpace(2), {2: [1, 0.5], 3: [0.25, 1]})
     with pytest.raises(UndefinedRatioError):
         ruc_ratio(D, 1, SamplerConfig(seed=13, samples=2000, grid_policy=NO_GRID))
-    assert seen == [1]  # hprad_norm's panel was memoized when the report failed
-    assert sampling._PANELS.get() is None
+    assert len(seen) == 1 and seen[0] > 0  # the same pass gave the denominator
     with pytest.raises(UndefinedRatioError):
         ruc_ratio(scalar_polynomial({}), 1, CFG)
-    assert sampling._PANELS.get() is None
 
 
 @pytest.mark.parametrize("p", [1.0, 3.0])
@@ -179,7 +178,7 @@ def test_search_identical_with_panel_memo_bypassed(monkeypatch, p):
     scfg = SearchConfig(restarts=2, iterations=3)
     shared = ruc_constant_search(SupSpace(3), family, p, scfg, cfg)
     calls = _counting_character_values(monkeypatch)
-    monkeypatch.setattr(sampling, "_CHUNK_BUDGET", 0)  # no panel fits: every chunk drawn afresh
+    monkeypatch.setattr(constants, "_CHUNK_BUDGET", 0)  # no panel is held: every chunk drawn afresh
     fresh = ruc_constant_search(SupSpace(3), family, p, scfg, cfg)
     assert len(calls) > 20
     assert shared.coefficients.tobytes() == fresh.coefficients.tobytes()

@@ -29,7 +29,7 @@ from dirichlet_ruc import (
     sampling,
 )
 from dirichlet_ruc.dirichlet import lift_arrays
-from dirichlet_ruc.sampling import _grid_sizes
+from dirichlet_ruc.sampling import _grid_columns, _grid_sizes
 from dirichlet_ruc.randomized import _grid_cosets, _grid_hprad
 
 SMOOTH = [n for n in range(1, 41) if n // math.gcd(n, 2**5 * 3**3 * 5**2) == 1]  # 2, 3, 5 only
@@ -71,7 +71,7 @@ def _reduced(D, p, sizes, halves):
     xs, exps, _ = lift_arrays(D)
     used = exps[:, exps.any(axis=0)]
     route = (used, sizes, sizes, _grid_cosets(used, halves))
-    numerator, same = _grid_hprad(D.space, xs, route, p)
+    numerator, same = _grid_hprad(D.space, xs, route, p, _grid_columns(used, sizes))
     return numerator.value, same.denominator.value
 
 
@@ -237,27 +237,11 @@ SUMMING4 = [np.concatenate([np.ones(k + 1), np.zeros(3 - k)]) for k in range(4)]
 STEP_CFG = SearchConfig(restarts=1, iterations=3, initial_step=0.125)
 
 
-def test_search_builds_each_grid_once_and_leaves_no_memo(monkeypatch):
+def test_search_builds_each_grid_once(monkeypatch):
     calls = _counting_character_values(monkeypatch)
     result = ruc_constant_search(SupSpace(4), SUMMING4, 1, STEP_CFG, SamplerConfig(seed=9, samples=700))
     assert calls == [256]  # the grid once; the half grid is read from its pass
     assert result.report.numerator.mode == "quadrature"
-    assert sampling._PANELS.get() is None
-
-
-def test_grid_route_memo_is_dropped_when_the_ratio_raises(monkeypatch):
-    seen = []
-
-    def failing(D, p):
-        seen.append(len(sampling._PANELS.get()))
-        raise RuntimeError("describe failed")
-
-    monkeypatch.setattr(constants, "describe_instance", failing)
-    D = DirichletPolynomial(SupSpace(4), {n + 1: x for n, x in enumerate(SUMMING4)})
-    with pytest.raises(RuntimeError):
-        ruc_ratio(D, 1, SamplerConfig(seed=9, samples=700))
-    assert seen == [1]  # the grid panel was memoized (the half grid is read from it)
-    assert sampling._PANELS.get() is None
 
 
 @pytest.mark.parametrize("p", [1.0, 3.0])
@@ -268,7 +252,7 @@ def test_grid_search_identical_with_panel_memo_bypassed(monkeypatch, p):
     shared = ruc_constant_search(SupSpace(3), family, p, scfg, cfg)
     assert shared.report.quad_error is not None  # the grid route ran
     calls = _counting_character_values(monkeypatch)
-    monkeypatch.setattr(sampling, "_CHUNK_BUDGET", 0)  # no panel fits: every chunk drawn afresh
+    monkeypatch.setattr(constants, "_CHUNK_BUDGET", 0)  # no panel is held: every chunk drawn afresh
     fresh = ruc_constant_search(SupSpace(3), family, p, scfg, cfg)
     assert len(calls) > 20
     assert shared.coefficients.tobytes() == fresh.coefficients.tobytes()

@@ -117,7 +117,7 @@ def test_hp_norm_mc_stderr_from_its_own_draws():
     cfg = SamplerConfig(seed=4, samples=SAMPLES)
     est = hp_norm(D, 1.5, cfg, method="mc")
     xs, exps, _ = lift_arrays(D)
-    multipliers = torus_characters(exps, cfg.seed, STREAM_TORUS, SAMPLES, 0, SAMPLES)
+    multipliers = torus_characters(exps, cfg.seed, STREAM_TORUS, 0, SAMPLES)
     value, stderr = _delta_method(CombinationEvaluator(space, xs).norms(multipliers.T), 1.5)
     assert est.value == pytest.approx(value, rel=1e-12)
     assert est.stderr == pytest.approx(stderr, rel=1e-12) and est.stderr > 0
@@ -154,7 +154,7 @@ def test_summing_experiment_stderr_from_its_own_draws():
     cfg = SamplerConfig(seed=6, samples=SAMPLES)
     est = experiment_summing_basis(a, cfg).sup_tail_norm
     _, exps, _ = lift_arrays(scalar_polynomial(dict.fromkeys(range(1, a.size + 1), 1)))
-    multipliers = torus_characters(exps, cfg.seed, STREAM_SUMMING, SAMPLES, 0, SAMPLES) * a
+    multipliers = torus_characters(exps, cfg.seed, STREAM_SUMMING, 0, SAMPLES) * a
     tails = np.cumsum(multipliers[:, ::-1], axis=1)
     value, stderr = _delta_method(np.abs(tails).max(axis=1), 2.0)
     assert est.value == pytest.approx(value, rel=1e-12)
@@ -299,7 +299,7 @@ def test_function_space_hp_norm_mc_reports_its_half_grid_gap():
     cfg = SamplerConfig(seed=5, samples=SAMPLES)
     est = hp_norm(D, 1.0, cfg, method="mc")
     xs, exps, _ = lift_arrays(D)
-    columns = torus_characters(exps, cfg.seed, STREAM_TORUS, SAMPLES, 0, SAMPLES).T
+    columns = torus_characters(exps, cfg.seed, STREAM_TORUS, 0, SAMPLES).T
     value, stderr = _delta_method(CombinationEvaluator(space, xs).norms(columns), 1.0)
     rough = _delta_method(CombinationEvaluator(space, xs, HALF_INNER_GRID).norms(columns), 1.0)[0]
     assert (est.mode, est.samples_used) == ("mc", SAMPLES)

@@ -15,8 +15,10 @@ from dirichlet_ruc import (
     SequenceSpace,
     ShapeError,
     SupSpace,
+    SearchConfig,
     TrigPolynomial,
     UndefinedRatioError,
+    circle_hp_norm,
     contraction_check,
     gaussian_average,
     hp_norm,
@@ -25,6 +27,9 @@ from dirichlet_ruc import (
     rad_norm,
     rademacher_average,
     randomized,
+    ruc_constant_search,
+    ruc_ratio,
+    rud_ratio,
     scalar_polynomial,
     spaces,
     steinhaus_average,
@@ -530,6 +535,46 @@ def test_contraction_examples():
     assert rep.lhs.value <= math.pi / 2
     with pytest.raises(DomainError):
         contraction_check([[1], [1]], [1, 1.5], H1, CFG)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+def _power_entry_points():
+    """Every public entry point that takes a norm power, as power -> call."""
+    xs = [np.array([1.0, 0.5j]), np.array([-0.25, 1.0]), np.array([1.0, 1.0])]
+    space = SupSpace(2)
+    D = DirichletPolynomial(space, dict(zip([2, 3, 6], xs)))
+    cfg = SamplerConfig(seed=1, samples=200)
+    return {
+        "hp_norm": lambda p: hp_norm(D, p, cfg),
+        "hp_norm mc": lambda p: hp_norm(D, p, cfg, method="mc"),
+        "circle_hp_norm": lambda p: circle_hp_norm(xs, space, p, cfg),
+        "hprad_norm": lambda p: hprad_norm(D, p, cfg),
+        "ruc_ratio": lambda p: ruc_ratio(D, p, cfg),
+        "rud_ratio": lambda p: rud_ratio(D, p, cfg),
+        "ruc_constant_search": lambda p: ruc_constant_search(space, xs, p, SearchConfig(1, 1), cfg),
+        "rademacher_average": lambda q: rademacher_average(xs, space, q, cfg),
+        "steinhaus_average": lambda q: steinhaus_average(xs, space, q, cfg),
+        "gaussian_average": lambda q: gaussian_average(xs, space, q, cfg),
+        "kahane_ratio": lambda p: kahane_ratio(xs, space, p, cfg),
+    }
+
+
+@pytest.mark.parametrize("power", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("entry", list(_power_entry_points()))
+def test_non_finite_powers_are_refused(entry, power):
+    # NaN passed `p < 1` everywhere: hp_norm read 0.0 +- 0 in mc mode and
+    # kahane_ratio at inf read below 1
+    with pytest.raises(DomainError, match="must be >= 1 and finite"):
+        _power_entry_points()[entry](power)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.nan)], ids=repr)
+def test_contraction_refuses_non_finite_coefficients(bad):
+    # A NaN coefficient passed max |a_n| <= 1 and the check reported holds=True
+    with pytest.raises(DomainError, match="finite"):
+        contraction_check([[1], [1]], [1, bad], H1, CFG)
 
 
 def test_contraction_random_suite(rng):

@@ -3,6 +3,7 @@ support, it gives every family on that support the report a fresh ruc_ratio
 would, and the grid pass reads its half grid out of the full grid's pass."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from dirichlet_ruc import (
     DirichletPolynomial,
     FunctionLr,
     GridPolicy,
+    HilbertSpace,
     SamplerConfig,
     SearchConfig,
     SequenceSpace,
@@ -21,14 +23,19 @@ from dirichlet_ruc import (
     constants,
     randomized,
     ruc_constant_search,
+    hp_norm,
+    hprad_norm,
     ruc_ratio,
     sampling,
+    spaces,
 )
 from dirichlet_ruc.constants import _RatioPlan, _sup_normalize
 from dirichlet_ruc.dirichlet import lift_arrays
 from dirichlet_ruc.sampling import _grid_columns, _grid_sizes
 from dirichlet_ruc.randomized import _grid_cosets
-from dirichlet_ruc.spaces import combination_moments, grid_moments, scale_element
+from dirichlet_ruc.spaces import CombinationEvaluator, combination_moments, grid_moments, scale_element
+
+from conftest import HALF_INNER_GRID
 
 SMOOTH = [n for n in range(1, 41) if n // math.gcd(n, 2**5 * 3**3 * 5**2) == 1]  # 2, 3, 5 only
 NO_GRID = GridPolicy(max_points=0)
@@ -200,3 +207,117 @@ def test_half_grid_read_from_the_fine_pass_equals_its_own_pass(space, support, x
     assert grid == combination_moments(space, xs, _grid_columns(used, fine), points, [p], patterns=patterns)
     alone = combination_moments(space, xs, _grid_columns(used, half), math.prod(half), [p], patterns=patterns)
     assert [e.value for e in rough] == [e.value for e in alone]
+
+
+def _denominator_cases():
+    for space in (
+        SupSpace(3), SequenceSpace(1.0, 3), SequenceSpace(3.0, 2), HilbertSpace(3), FunctionLr(1.0, 1)
+    ):
+        for signs in ("enumerated", "sampled"):
+            yield pytest.param(space, signs, id=f"{space}-{signs}")
+
+
+@pytest.mark.parametrize("p", [1.0, 3.0])
+@pytest.mark.parametrize("space, signs", list(_denominator_cases()))
+def test_monte_carlo_denominator_is_hp_norm_from_the_same_pass(monkeypatch, space, signs, p):
+    rng = np.random.default_rng(31)
+    D = DirichletPolynomial(space, {n: _element(space, rng) for n in [2, 3, 5, 6, 10]})
+    coordinate = not isinstance(space, FunctionLr)
+    # Past one chunk of hp_norm's own pass: 8192 samples in a coordinate
+    # space, 2^15 grid values (512 samples of 64 points) in a function space.
+    monkeypatch.setattr(spaces, "_CHUNK_BUDGET", 1 << 15)
+    monkeypatch.setattr(randomized, "_CHUNK_BUDGET", 1 << 15)
+    cfg = SamplerConfig(
+        seed=5, samples=9000 if coordinate else 1300, grid_policy=NO_GRID,
+        exact_cutoff=20 if signs == "enumerated" else 3,
+    )
+    calls = _counting_character_values(monkeypatch)
+    report = ruc_ratio(D, p, cfg)
+    assert report.numerator.mode == report.denominator.mode == "mc"
+    assert len(calls) > 1 or not coordinate  # a lone ratio draws its panel a chunk at a time
+    plain = hp_norm(D, p, cfg, method="mc")
+    assert report.denominator.samples_used == plain.samples_used == cfg.samples
+    assert report.denominator.value == pytest.approx(plain.value, rel=4e-16, abs=0)
+    assert report.denominator.stderr == pytest.approx(plain.stderr, rel=1e-12, abs=0)
+    assert report.denominator.quad_error == pytest.approx(plain.quad_error, rel=1e-9, abs=1e-15)
+    if coordinate:
+        assert report.quad_error == 0.0
+    else:  # the gap to the ratio on the half inner grid, from the same pass
+
+        def half_grid(space, xs):
+            return CombinationEvaluator(space, xs, HALF_INNER_GRID)
+
+        monkeypatch.setattr(randomized, "CombinationEvaluator", half_grid)
+        rough = ruc_ratio(D, p, cfg)
+        assert report.quad_error == pytest.approx(abs(report.ratio - rough.ratio), rel=0, abs=1e-13)
+        assert report.quad_error > 0
+
+
+@pytest.mark.parametrize("space", [SupSpace(3), SequenceSpace(3.0, 3), FunctionLr(1.0, 1)])
+def test_sampled_signs_at_p2_keep_the_quadrature_denominator(monkeypatch, space):
+    # Sampled signs refuse the grid route, but at p = 2 on 3 variables
+    # hp_norm's rule takes its grid: that denominator is kept, far more
+    # accurate than one pattern's share of the Monte Carlo panel.
+    rng = np.random.default_rng(41)
+    family = [_element(space, rng) for _ in range(3)]
+    D = DirichletPolynomial(space, dict(zip([2, 3, 5], family)))
+    cfg = SamplerConfig(seed=7, samples=400, exact_cutoff=2)
+    report = ruc_ratio(D, 2.0, cfg)
+    assert report.denominator == hp_norm(D, 2.0, cfg)
+    assert report.denominator.mode == "quadrature" and report.quad_error is None
+    assert report.numerator == hprad_norm(D, 2.0, cfg)
+    assert report.numerator.mode == "mc"
+    search_cfg = SearchConfig(restarts=1, iterations=2)
+    held = []
+    hold = _RatioPlan.hold
+
+    def counted(plan):
+        held.append(plan.entries)
+        hold(plan)
+
+    monkeypatch.setattr(_RatioPlan, "hold", counted)
+    kept = ruc_constant_search(space, family, 2.0, search_cfg, cfg)
+    assert held and held[0] > cfg.samples * 3  # the torus panel and the grid
+    monkeypatch.setattr(constants, "_CHUNK_BUDGET", 0)
+    drawn = ruc_constant_search(space, family, 2.0, search_cfg, cfg)
+    assert drawn.coefficients.tobytes() == kept.coefficients.tobytes()
+    assert drawn.report == kept.report
+
+
+def _counting_character_values(monkeypatch):
+    calls = []
+    original = sampling.character_values
+
+    def counted(exponents, fractions):
+        calls.append((fractions.shape[0], exponents.tobytes()))
+        return original(exponents, fractions)
+
+    monkeypatch.setattr(sampling, "character_values", counted)
+    return calls
+
+
+def test_search_holds_panels_within_the_chunk_budget(monkeypatch):
+    # The "shrinking" search meets several supports; with room for one
+    # 700-row panel of 4 terms, only the first support's plan holds it.
+    cfg, search_cfg = SEARCHES["shrinking"]
+    cfg = replace(cfg, grid_policy=NO_GRID)
+    calls = _counting_character_values(monkeypatch)
+    unbounded = ruc_constant_search(SupSpace(4), FAMILY, 1.0, search_cfg, cfg)
+    supports = len(set(calls))
+    assert len(calls) == supports > 1  # every plan holds its panel: one draw per support
+    held = []
+    hold = randomized._HpradPlan.hold
+
+    def counted(plan):
+        held.append(plan.entries)
+        hold(plan)
+
+    monkeypatch.setattr(randomized._HpradPlan, "hold", counted)
+    monkeypatch.setattr(constants, "_CHUNK_BUDGET", 700 * 4 + 699)
+    calls.clear()
+    bounded = ruc_constant_search(SupSpace(4), FAMILY, 1.0, search_cfg, cfg)
+    assert held == [700 * 4]  # the first support's, all four terms
+    assert len(set(calls)) == supports and calls.count(calls[0]) == 1
+    assert len(calls) > supports  # the other supports draw theirs in every evaluation
+    assert bounded.coefficients.tobytes() == unbounded.coefficients.tobytes()
+    assert bounded.report == unbounded.report

@@ -21,15 +21,11 @@ from dirichlet_ruc.sampling import (
     character_values,
     fixed_point_to_complex,
     gaussian_samples,
-    panel_scope,
     sign_samples,
     steinhaus_samples,
     torus_characters,
     uniform_bits,
 )
-
-EXPS = np.array([[0, 0], [1, 0], [0, 1], [2, 1], [-1, 3]], dtype=np.int64)
-
 
 def test_estimate_invariants():
     Estimate(value=1.0, mode="exact")
@@ -90,77 +86,6 @@ def test_gaussian_moments():
     assert abs(r.mean()) < 0.01
 
 
-@pytest.fixture
-def character_calls(monkeypatch):
-    """Number of character_values calls made through the sampling module."""
-    calls = []
-
-    def counted(exponents, fractions):
-        calls.append(fractions.shape[0])
-        return character_values(exponents, fractions)
-
-    monkeypatch.setattr(sampling, "character_values", counted)
-    return calls
-
-
-def test_memoized_panel_rows_equal_fresh_chunks_bitwise():
-    with panel_scope():
-        for start, count in [(0, 64), (64, 100), (164, 1), (165, 835)]:
-            rows = torus_characters(EXPS, 11, 1, 1000, start, count)
-            fresh = character_values(EXPS, uniform_bits(11, 1, count, 2, start=start))
-            assert rows.tobytes() == fresh.tobytes()
-
-
-def test_panel_scope_is_dropped_on_exit_and_on_error(character_calls):
-    assert sampling._PANELS.get() is None
-    with panel_scope():
-        torus_characters(EXPS, 1, 1, 100, 0, 10)
-        assert len(sampling._PANELS.get()) == 1
-    assert sampling._PANELS.get() is None
-    with pytest.raises(RuntimeError):
-        with panel_scope():
-            torus_characters(EXPS, 1, 1, 100, 0, 10)
-            raise RuntimeError("boom")
-    assert sampling._PANELS.get() is None
-    # Outside a scope each call draws only its own chunk.
-    torus_characters(EXPS, 1, 1, 100, 0, 10)
-    torus_characters(EXPS, 1, 1, 100, 10, 10)
-    assert character_calls == [100, 100, 10, 10]
-
-
-def test_nested_scopes_share_one_panel(character_calls):
-    with panel_scope():
-        outer = torus_characters(EXPS, 2, 1, 500, 0, 500)
-        with panel_scope():
-            inner = torus_characters(EXPS, 2, 1, 500, 100, 50)
-        assert sampling._PANELS.get() is not None  # the inner exit kept the memo
-        again = torus_characters(EXPS, 2, 1, 500, 0, 500)
-    assert character_calls == [500]
-    assert np.shares_memory(outer, inner) and np.shares_memory(outer, again)
-    # Other exponents, seed, stream or sample count make another panel.
-    with panel_scope():
-        for exps, seed, stream, samples in [
-            (EXPS, 2, 1, 500), (EXPS[:4], 2, 1, 500), (EXPS, 3, 1, 500), (EXPS, 2, 4, 500),
-            (EXPS, 2, 1, 499),
-        ]:
-            torus_characters(exps, seed, stream, samples, 0, 10)
-    assert character_calls == [500, 500, 500, 500, 500, 499]
-
-
-def test_panel_memo_stays_within_chunk_budget(monkeypatch, character_calls):
-    monkeypatch.setattr(sampling, "_CHUNK_BUDGET", 2 * 100 * len(EXPS))
-    with panel_scope():
-        torus_characters(EXPS, 1, 1, 300, 0, 30)  # 300 rows exceed the budget
-        assert not sampling._PANELS.get()
-        for seed in (1, 2, 1, 3, 1):
-            torus_characters(EXPS, seed, 1, 100, 0, 10)
-            memo = sampling._PANELS.get()
-            assert sum(v.size for v in memo.values()) <= sampling._CHUNK_BUDGET
-        assert len(memo) == 2
-    # Two panels fit: seeds 1 and 2 are kept, seed 3 is drawn chunk by chunk.
-    assert character_calls == [30, 100, 100, 10]
-
-
 # --- sparse character engine: bytes equal to the all-variables draw and loop
 
 
@@ -191,7 +116,7 @@ def _character_values_per_exponent(exponents, fractions):
     return fixed_point_to_complex(acc.T.copy())
 
 
-def _dense_torus_characters(exponents, seed, stream, samples, start, count):
+def _dense_torus_characters(exponents, seed, stream, start, count):
     fractions = uniform_bits(seed, stream, count, exponents.shape[1], start)
     return _character_values_all_variables(exponents, fractions)
 
@@ -291,15 +216,14 @@ def test_character_values_allocates_nothing_of_panel_size(monkeypatch):
     samples=st.integers(1, 60),
     data=st.data(),
 )
-def test_torus_characters_same_bytes_in_and_out_of_scope(exps, seed, samples, data):
+def test_torus_characters_match_the_dense_draw_and_the_whole_panel_bitwise(exps, seed, samples, data):
     start = data.draw(st.integers(0, samples - 1))
     count = data.draw(st.integers(1, samples - start))
-    outside = torus_characters(exps, seed, 1, samples, start, count)
-    with panel_scope():
-        inside = torus_characters(exps, seed, 1, samples, start, count)
-    dense = _dense_torus_characters(exps, seed, 1, samples, start, count)
-    assert outside.flags.c_contiguous and inside.flags.c_contiguous
-    assert outside.tobytes() == inside.tobytes() == dense.tobytes()
+    chunk = torus_characters(exps, seed, 1, start, count)
+    whole = torus_characters(exps, seed, 1, 0, samples)[start : start + count]
+    dense = _dense_torus_characters(exps, seed, 1, start, count)
+    assert chunk.flags.c_contiguous
+    assert chunk.tobytes() == whole.tobytes() == dense.tobytes()
 
 
 def test_gapped_sparse_support_matches_dense_path_and_draws_used_columns(monkeypatch):
