@@ -10,15 +10,13 @@ found.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .bohr import PrimeAP, prime_ap_search
-from .dirichlet import (
-    DirichletPolynomial, _quadrature_grid, _quadrature_norm, dirichlet_kernel_l1, lift_arrays, scalar_polynomial
-)
+from .dirichlet import DirichletPolynomial, dirichlet_kernel_l1, lift_arrays, scalar_polynomial
 from .errors import DomainError, UndefinedRatioError
 from .randomized import _HpradPlan, rademacher_average
 from .sampling import (
@@ -30,7 +28,6 @@ from .sampling import (
     Estimate,
     PowerMoments,
     SamplerConfig,
-    _held_columns,
     torus_characters,
     uniform_bits,
 )
@@ -48,12 +45,12 @@ from .spaces import (
 
 @dataclass(frozen=True)
 class RatioReport:
-    """numerator / denominator.  quad_error is the quadrature error of a
-    ratio whose two norms come from one pass (see randomized._SamePass):
-    |R_fine - R_half| on the grid route, plus in a function space
-    |R_fine - R_inner|, the gap to the ratio on the half inner grid (alone
-    off the grid); None for a closed form or a quadrature denominator over
-    a Monte Carlo numerator, whose errors then propagate."""
+    """numerator / denominator, which must be positive.  quad_error is the
+    quadrature error of a ratio whose two norms come from one pass of
+    randomized._HpradPlan: |R_fine - R_half| on the grid route, plus in a
+    function space |R_fine - R_inner|, the gap to the ratio on the half
+    inner grid (alone off the grid); None for a closed form or a quadrature
+    denominator over a Monte Carlo numerator, whose errors then propagate."""
 
     numerator: Estimate
     denominator: Estimate
@@ -88,51 +85,14 @@ class SearchConfig:
             raise DomainError("min_step must be finite and >= 0")
 
 
-class _RatioPlan:
-    """ruc_ratio of every family of nonzero elements on the support of D,
-    given in support order: hprad_norm's plan, hp_norm's quadrature grid
-    where it takes one off hprad_norm's grid route, and the instance string,
-    found once from D (see _HpradPlan for what each family must share
-    with D)."""
-
-    def __init__(self, D: DirichletPolynomial, p: float, cfg: SamplerConfig):
-        if D.is_zero():
-            raise UndefinedRatioError("zero polynomial")
-        self.D = D
-        self.hprad = plan = _HpradPlan(D, p, cfg)
-        self.entries = plan.entries  # characters in the panels of the passes
-        # off the grid route, hp_norm's quadrature (p = 2, few variables) is
-        # far more accurate than the Monte Carlo pass's one pattern: kept
-        self.grid = None
-        if not plan.closed and plan.route is None:
-            self.grid = _quadrature_grid(plan.exponents, p, cfg, "auto")
-            if self.grid is not None:
-                self.entries += math.prod(self.grid[1]) * len(plan.xs)
-        self.instance: str | None = None  # described once the first ratio stands
-
-    def hold(self) -> None:
-        """Have every pass read its panel drawn whole once."""
-        self.hprad.hold()
-        if self.grid is not None:
-            columns, fine, half = self.grid
-            self.grid = _held_columns(columns, math.prod(fine)), fine, half
-
-    def evaluate(self, xs: list[Element]) -> RatioReport:
-        numerator, same = self.hprad.evaluate(xs, plain=self.grid is None)
-        if self.grid is not None:  # two passes, whose errors propagate
-            denominator = _quadrature_norm(self.D.space, xs, self.grid, self.hprad.p)
-            quad_error = None
-        else:  # no pass runs for a closed form, which is also the plain norm's
-            denominator, quad_error = same if same is not None else (numerator, None)
-        if self.instance is None:
-            self.instance = describe_instance(self.D, self.hprad.p)
-        return RatioReport(
-            numerator=numerator,
-            denominator=denominator,
-            ratio=numerator.value / denominator.value,
-            instance=self.instance,
-            quad_error=quad_error,
-        )
+def _ratio_report(
+    numerator: Estimate, denominator: Estimate, quad_error: float | None, instance: str
+) -> RatioReport:
+    """numerator / denominator as a RatioReport, which refuses a denominator
+    that is not positive (a norm whose p-th powers underflow, say); such a
+    denominator is never divided by."""
+    ratio = numerator.value / denominator.value if denominator.value > 0 else math.nan
+    return RatioReport(numerator, denominator, ratio, instance, quad_error)
 
 
 def ruc_ratio(
@@ -140,13 +100,16 @@ def ruc_ratio(
 ) -> RatioReport:
     """||D||_rad / ||D||: > 1 means sign-averaging exceeds the plain norm.
 
-    The denominator is the identity pattern of hprad_norm's own pass, on
-    either route, so the two norms read one panel; on the grid route a
-    support whose sign patterns form a single coset has a ratio of exactly
-    1.  Off the grid route, where hp_norm would average on a grid (p = 2,
-    few variables), the denominator is that grid average instead."""
-    plan = _RatioPlan(D, p, cfg if cfg is not None else SamplerConfig())
-    return plan.evaluate(plan.hprad.xs)
+    One plan (randomized._HpradPlan) gives both norms.  The denominator is
+    the identity pattern of hprad_norm's own pass, on either route, so the
+    two norms read one panel; on the grid route a support whose sign
+    patterns form a single coset has a ratio of exactly 1.  Off the grid
+    route, where hp_norm would average on a grid (p = 2, few variables), the
+    denominator is that grid average instead."""
+    if D.is_zero():
+        raise UndefinedRatioError("zero polynomial")
+    plan = _HpradPlan(D, p, cfg if cfg is not None else SamplerConfig())
+    return _ratio_report(*plan.evaluate(plan.xs, plain=True), describe_instance(D, p))
 
 
 def rud_ratio(
@@ -154,14 +117,9 @@ def rud_ratio(
 ) -> RatioReport:
     """||D|| / ||D||_rad: the reciprocal orientation of ruc_ratio."""
     report = ruc_ratio(D, p, cfg)
-    quad_error = report.quad_error
-    return RatioReport(
-        numerator=report.denominator,
-        denominator=report.numerator,
-        ratio=report.denominator.value / report.numerator.value,
-        instance=report.instance,
-        quad_error=None if quad_error is None else quad_error / report.ratio**2,  # first order
-    )
+    quad_error = report.quad_error  # first order: |d(1/R)| = |dR| / R^2
+    rud = _ratio_report(report.denominator, report.numerator, None, report.instance)
+    return rud if quad_error is None else replace(rud, quad_error=quad_error / report.ratio**2)
 
 
 def describe_instance(D: DirichletPolynomial, p: float) -> str:
@@ -195,11 +153,11 @@ def ruc_constant_search(
     all evaluated with the same sampler seed (common random numbers).  The
     best ratio found is a lower bound on the true constant; ties keep the
     incumbent, and the all-ones start is always evaluated first.  Each
-    support is lifted and routed once: its ratio plan is kept for every
-    candidate on it, so the reports are those of ruc_ratio bit for bit, and
-    the first plans hold their character panel while the panels held fit
-    _CHUNK_BUDGET entries in all.  A candidate equal to the incumbent's
-    coefficients is not evaluated again.
+    support is lifted and routed once: its plan (randomized._HpradPlan) and
+    instance string are kept for every candidate on it, so the reports are
+    those of ruc_ratio bit for bit, and the first plans hold their character
+    panels while the panels held fit _CHUNK_BUDGET entries in all.  A
+    candidate equal to the incumbent's coefficients is not evaluated again.
     """
     search_cfg = search_cfg if search_cfg is not None else SearchConfig()
     cfg = cfg if cfg is not None else SamplerConfig()
@@ -207,7 +165,7 @@ def ruc_constant_search(
     if not elements or all(element_is_zero(x) for x in elements):
         raise DomainError("need at least one nonzero vector")
     n = len(elements)
-    plans: dict[tuple, _RatioPlan] = {}
+    plans: dict[tuple, tuple[_HpradPlan, str]] = {}  # the plan and instance of each support
     held = 0  # entries of the panels the plans hold
 
     def evaluate(a: np.ndarray) -> RatioReport | None:
@@ -224,13 +182,14 @@ def ruc_constant_search(
         # A scaled L_r element keeps its exponents unless a coefficient
         # underflows to 0; its inner grid is part of the route.
         key = (tuple(ns), None if is_coordinate(space) else tuple(x.max_abs_exponents() for x in xs))
-        plan = plans.get(key)
+        plan, instance = plans.get(key, (None, None))
         if plan is None:
-            plan = plans[key] = _RatioPlan(DirichletPolynomial(space, dict(zip(ns, xs))), p, cfg)
+            D = DirichletPolynomial(space, dict(zip(ns, xs)))
+            plan, instance = plans[key] = _HpradPlan(D, p, cfg), describe_instance(D, p)
             if 0 < plan.entries <= _CHUNK_BUDGET - held:
                 held += plan.entries
                 plan.hold()
-        return plan.evaluate(xs)
+        return _ratio_report(*plan.evaluate(xs, plain=True), instance)
 
     def restart_point(index: int) -> np.ndarray:
         if index == 0:

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .dirichlet import DirichletPolynomial, lift_arrays
+from .dirichlet import DirichletPolynomial, _quadrature_grid, _quadrature_norm, lift_arrays
 from .errors import DomainError, UndefinedRatioError, check_power
 from .sampling import (
     MODE_MC,
@@ -294,43 +294,30 @@ def _grid_route(
     return used, fine, half, signs
 
 
-class _SamePass(NamedTuple):
-    """What hprad_norm's pass gives besides its value: the plain norm (the
-    identity pattern's average) and the ratio's quadrature error, both from
-    that pass: |R - R_half| on the grid route, plus in a function space
-    |R - R_inner| with the half inner grid's ratio (alone off the grid)."""
-
-    denominator: Estimate
-    ratio_quad_error: float
-
-
 def _grid_hprad(
     space: SpaceSpec, xs: list[Element], route: tuple, p: float, columns: Callable
-) -> tuple[Estimate, _SamePass]:
-    """hprad_norm on the grid route, columns(lo, n) giving the characters at
-    grid points [lo, lo + n) as columns: per coset pattern, the grid average
-    of g^p on the grid and on its half grid, read from one pass over the
-    grid; the value is the mean over cosets of its p-th root, and its error
-    the gap between the two grids."""
+) -> tuple[Estimate, Estimate, float]:
+    """(hprad_norm, plain norm, the ratio's quadrature error) on the grid
+    route, columns(lo, n) giving the characters at grid points [lo, lo + n)
+    as columns: per coset pattern, the grid average of g^p on the grid and on
+    its half grid, read from one pass over the grid.  The value is the mean
+    over cosets of its p-th root and the plain norm the identity's; each
+    errs by the gap between the two grids, and the ratio by |R - R_half|,
+    plus in a function space |R - R_inner| with the half inner grid's."""
     _, fine, half, signs = route
     grid, rough, inner = grid_moments(space, xs, columns, fine, half, [p], patterns=signs)
-    num = float(np.mean([e.value for e in grid]))
-    num_half = float(np.mean([e.value for e in rough]))
-    num_inner = float(np.mean([e.quad_error for e in grid]))
-    den, den_half, den_inner = grid[0].value, rough[0].value, grid[0].quad_error
-    points = math.prod(fine)
-    numerator = Estimate(
-        num, samples_used=points, mode=MODE_QUADRATURE, quad_error=abs(num - num_half) + num_inner
-    )
-    denominator = Estimate(
-        den, samples_used=points, mode=MODE_QUADRATURE, quad_error=abs(den - den_half) + den_inner
-    )
-    ratio = num / den
-    gap = sum(  # the gap to the ratio on the half grid, and on the half inner grid
-        abs(ratio - float(np.mean([e.value for e in h])) / h[0].value) if h[0].value > 0 else math.inf
-        for h in ([rough] if inner is None else [rough, inner])
-    )
-    return numerator, _SamePass(denominator, gap)
+    passes = [grid, rough] if inner is None else [grid, rough, inner]
+    means = [float(np.mean([e.value for e in h])) for h in passes]
+
+    def quadrature(value, value_half, value_inner):  # the half grid's gap plus the inner grid's
+        error = abs(value - value_half) + value_inner
+        return Estimate(value, samples_used=math.prod(fine), mode=MODE_QUADRATURE, quad_error=error)
+
+    gap = math.inf  # the ratio's, undefined where a plain norm is not positive
+    if all(h[0].value > 0 for h in passes):
+        gap = sum(abs(means[0] / grid[0].value - v / h[0].value) for v, h in zip(means[1:], passes[1:]))
+    numerator = quadrature(means[0], means[1], float(np.mean([e.quad_error for e in grid])))
+    return numerator, quadrature(grid[0].value, rough[0].value, grid[0].quad_error), gap
 
 
 def _coordinate_columns(
@@ -351,11 +338,13 @@ def _coordinate_columns(
 
 class _HpradPlan:
     """hprad_norm of every family of nonzero elements on the support of D,
-    given in support order: the lift, the closed-form check, the route and
-    the character panel of its pass (the grid's or the torus draws), found
-    once from D.  A function space's route also depends on the family's
-    inner grid, so every family evaluated must have D's.  Each pass draws
-    the panel a chunk at a time unless the caller has the plan hold it."""
+    given in support order, and for a ratio also its plain norm and the
+    ratio's quadrature error: the lift, the closed-form check, the route, the
+    outer sign patterns and the character panels of the passes (the grid's
+    or the torus draws, and hp_norm's quadrature grid where the ratio takes
+    it), found once from D.  A function space's route also depends on the
+    family's inner grid, so every family evaluated must have D's.  Each pass
+    draws its panel a chunk at a time unless the caller has the plan hold it."""
 
     def __init__(self, D: DirichletPolynomial, p: float, cfg: SamplerConfig):
         check_power("p", p)
@@ -364,35 +353,52 @@ class _HpradPlan:
         m = len(self.xs)
         # closed_form's cases for nonzero elements: none or one, or Parseval
         self.closed = m <= 1 or (p == 2 and is_hilbertian(self.space))
-        self.route = None
-        self.entries = 0  # characters in the panel
+        self.route = self.grid = None
+        self.entries = 0  # characters in the panels
         if self.closed:
             return
-        _, evaluated, exact, _ = _sign_rule(m, cfg, min(4096, cfg.samples), STREAM_OUTER_SIGNS)
+        draw, evaluated, exact, mirrored = _sign_rule(m, cfg, min(4096, cfg.samples), STREAM_OUTER_SIGNS)
         if exact:
             self.route = _grid_route(self.space, self.xs, self.exponents, cfg, evaluated)
         if self.route is not None:
             used, fine = self.route[:2]
-            self.columns = _grid_columns(used, fine)
-            self.entries = math.prod(fine) * m
+            self.columns, self.points = _grid_columns(used, fine), math.prod(fine)
         else:
             exponents = self.exponents
             self.columns = lambda lo, n: torus_characters(exponents, cfg.seed, STREAM_TORUS, lo, n).T
-            self.entries = cfg.samples * m
+            self.points = cfg.samples
+            # (m, evaluated); F order would switch BLAS rounding
+            self.outer = np.ascontiguousarray(draw(0, evaluated)), exact, mirrored
+            # hp_norm's quadrature (p = 2, few variables) gives a ratio's plain
+            # norm far more accurately than one pattern of the Monte Carlo pass
+            self.grid = _quadrature_grid(self.exponents, p, cfg, "auto")
+        self.entries = (self.points + (0 if self.grid is None else math.prod(self.grid[1]))) * m
 
     def hold(self) -> None:
-        """Draw the panel whole once; every pass then reads columns of it."""
-        self.columns = _held_columns(self.columns, self.entries // len(self.xs))
+        """Draw the panels whole once; every pass then reads columns of them."""
+        self.columns = _held_columns(self.columns, self.points)
+        if self.grid is not None:
+            columns, fine, half = self.grid
+            self.grid = _held_columns(columns, math.prod(fine)), fine, half
 
-    def evaluate(self, xs: list[Element], plain: bool) -> tuple[Estimate, _SamePass | None]:
-        """(hprad_norm, and on the grid route, or off it if `plain` asks for
-        it, the plain norm and the ratio's quadrature error from the same
-        pass; None for a closed form or when not asked)."""
+    def evaluate(self, xs: list[Element], plain: bool) -> tuple[Estimate, Estimate | None, float | None]:
+        """(hprad_norm, plain norm, the ratio's quadrature error).  Both are
+        None where the Monte Carlo pass runs without `plain`; the error is
+        also None where the two norms' errors propagate apart: for a closed
+        form, and for hp_norm's quadrature grid under a Monte Carlo
+        numerator."""
         if self.closed:
-            return closed_form(self.space, xs, self.p), None
+            closed = closed_form(self.space, xs, self.p)
+            return closed, closed, None
         if self.route is not None:
             return _grid_hprad(self.space, xs, self.route, self.p, self.columns)
-        return _mc_hprad(self.space, xs, self.p, self.cfg, self.columns, plain)
+        same = plain and self.grid is None
+        numerator, denominator, quad_error = _mc_hprad(
+            self.space, xs, self.p, self.cfg.samples, self.outer, self.columns, same
+        )
+        if plain and not same:
+            denominator = _quadrature_norm(self.space, xs, self.grid, self.p)
+        return numerator, denominator, quad_error
 
 
 def hprad_norm(
@@ -408,9 +414,9 @@ def hprad_norm(
     (_grid_cosets), and the half grid's gap is the error.  Otherwise inner
     H_p norms share one polytorus sample panel across all sign patterns
     (common random numbers); the stderr combines 10-block panel resampling
-    with pattern-sampling variance and is approximate.  Either pass can
-    also give the plain norm, the identity pattern's average, which
-    ruc_ratio reads as its denominator; alone, the Monte Carlo pass skips it.
+    with pattern-sampling variance and is approximate.  The same plan
+    (_HpradPlan) gives ruc_ratio its plain norm, the identity pattern's
+    average, from either pass; alone, the Monte Carlo pass skips it.
 
     The Monte Carlo route evaluates every pattern, not one per coset of the
     whole torus: another pattern of a coset is its representative at a
@@ -424,27 +430,26 @@ def hprad_norm(
 
 
 def _mc_hprad(
-    space: SpaceSpec, xs: list[Element], p: float, cfg: SamplerConfig, draw_columns: Callable, plain: bool
-) -> tuple[Estimate, _SamePass | None]:
-    """hprad_norm off the grid route: one torus panel, draw_columns(lo, n)
-    giving its draws [lo, lo + n) as columns, for every sign pattern, and in
-    a function space the half inner grid's gap as quad_error.  With `plain`,
-    also the plain norm, the identity's average on that panel: enumerated,
-    pattern 0 (all -1, the identity's norms bit for bit); sampled, an
-    all-ones pattern after the sampled ones, outside their mean and
-    variance."""
+    space: SpaceSpec, xs: list[Element], p: float, samples: int, outer: tuple, draw_columns: Callable,
+    plain: bool,
+) -> tuple[Estimate, Estimate | None, float | None]:
+    """hprad_norm off the grid route: one torus panel of `samples` draws,
+    draw_columns(lo, n) giving draws [lo, lo + n) as columns, for every
+    outer sign pattern (signs, exact, mirrored), and in a function space the
+    half inner grid's gap as quad_error.  With `plain`, also the plain norm,
+    the identity's average on that panel, and the ratio's gap to that on the
+    half inner grid (0 in a coordinate space): enumerated, pattern 0 (all
+    -1, the identity's norms bit for bit); sampled, an all-ones pattern
+    after the sampled ones, outside their mean and variance."""
     m = len(xs)
-    draw, evaluated, exact_outer, mirrored = _sign_rule(
-        m, cfg, min(4096, cfg.samples), STREAM_OUTER_SIGNS
-    )
+    signs, exact_outer, mirrored = outer
+    evaluated = signs.shape[1]
     patterns = evaluated << mirrored  # the negated half is mirrored in below
-    signs, identity = draw(0, evaluated), 0
+    identity = 0
     if plain and not exact_outer:
         signs, identity = np.column_stack([signs, np.ones(m)]), evaluated
-    signs = np.ascontiguousarray(signs)  # (m, width); F order would switch BLAS rounding
     width = signs.shape[1]
 
-    samples = cfg.samples
     evaluator = CombinationEvaluator(space, xs)
     blocks = min(10, samples)
     bounds = [-(-b * samples // blocks) for b in range(blocks + 1)]  # contiguous blocks
@@ -509,7 +514,7 @@ def _mc_hprad(
     if not coordinate:
         rough = float(((half_sums / samples) ** (1.0 / p)).mean())
         quad_error = abs(value - rough)
-    same = None
+    denominator = gap = None
     if plain:
         moments, half_moments = plain_moments
         denominator = moments.estimates(None if coordinate else half_moments)[0]
@@ -518,14 +523,13 @@ def _mc_hprad(
             den_rough = half_moments.estimates()[0].value
             positive = denominator.value > 0 and den_rough > 0
             gap = abs(value / denominator.value - rough / den_rough) if positive else math.inf
-        same = _SamePass(denominator, gap)
 
     counts = np.diff(bounds)
     block_values = [float(((power_sums[b] / counts[b]) ** (1.0 / p)).mean()) for b in range(blocks)]
     stderr = block_stderr(np.array(block_values))
     if not exact_outer and patterns > 1:
         stderr = math.sqrt(stderr**2 + float(inner.var(ddof=1)) / patterns)
-    return Estimate(value, stderr, samples, MODE_MC, quad_error), same
+    return Estimate(value, stderr, samples, MODE_MC, quad_error), denominator, gap
 
 
 def kahane_ratio(

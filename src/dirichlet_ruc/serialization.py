@@ -8,6 +8,7 @@ ValidationError with a JSON-pointer-style path to the offending node.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -282,6 +283,14 @@ def _refuse_constant(name: str):
     raise ValidationError(f"invalid JSON: {name} is not a JSON number")
 
 
+def _finite_float(text: str) -> float:
+    """Python's json reads a number past the float range as +-inf."""
+    value = float(text)
+    if math.isinf(value):
+        raise ValidationError(f"invalid JSON: {text} is past the float range")
+    return value
+
+
 def parse_problem(text: bytes | str) -> ParsedProblem:
     """Parse and validate a problem file; see PROBLEM_SCHEMA."""
     if isinstance(text, bytes):
@@ -290,7 +299,7 @@ def parse_problem(text: bytes | str) -> ParsedProblem:
         except UnicodeDecodeError as exc:
             raise ValidationError(f"not UTF-8: {exc}") from exc
     try:
-        data = json.loads(text, parse_constant=_refuse_constant)
+        data = json.loads(text, parse_constant=_refuse_constant, parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid JSON: {exc}") from exc
     _check_schema(data)

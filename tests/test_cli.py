@@ -139,13 +139,55 @@ def test_zero_polynomial_ratio_exits_2(tmp_path):
     assert run_cli(["ruc-ratio", "--input", str(path)])[2] == "error: zero polynomial\n"
 
 
-@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+UNDERFLOWING = {  # at p = 3 the p-th powers of 1e-120 underflow: every norm reads 0
+    "schema": 1, "space": {"variant": "Sup", "d": 2}, "p": 3,
+    "terms": [
+        {"n": 2, "x": [[1e-120, 0], [0, 0]]},
+        {"n": 3, "x": [[0, 0], [1e-120, 0]]},
+        {"n": 6, "x": [[1e-120, 0], [1e-120, 0]]},
+    ],
+}
+
+
+def test_ratio_of_underflowing_norms_exits_2(tmp_path):
+    path = tmp_path / "underflow.json"
+    path.write_text(json.dumps(UNDERFLOWING))
+    # both ended in a ZeroDivisionError traceback
+    for command in ("ruc-ratio", "ruc-search"):
+        code, out, err = run_cli([command, "--input", str(path)])
+        assert (code, out, err) == (2, "", "error: denominator estimate is not positive\n"), command
+    code, out, err = run_cli(["hprad-norm", "--input", str(path)])
+    assert code == 0, err
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("[[1, 0], [1, 0], [0, 0]]", "[[1e400, 0], [1, 0], [0, 0]]"),
+        ('"variant": "Sup", "d": 3', '"variant": "Sequence", "r": 1e400, "d": 3'),
+    ],
+    ids=["coefficient", "r"],
+)
+def test_numbers_past_the_float_range_exit_2(tmp_path, old, new):
+    text = (FIXTURES / "sup_summing3.json").read_text()
+    assert old in text
+    path = tmp_path / "huge.json"
+    path.write_text(text.replace(old, new))
+    with pytest.raises(ValidationError, match="invalid JSON: 1e400"):
+        parse_problem(text.replace(old, new))  # Python's json reads them as +-inf
+    for argv in (["norm"], ["type-witness"], ["ruc-search", "--p", "1"]):
+        code, out, err = run_cli(argv + ["--input", str(path)])
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: invalid JSON: 1e400"), argv
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
 def test_non_finite_p_exits_2(tmp_path, literal):
     text = (FIXTURES / "sup_summing3.json").read_text().replace('"p": 2', f'"p": {literal}')
     path = tmp_path / "p.json"
     path.write_text(text)
     with pytest.raises(ValidationError, match="invalid JSON"):
-        parse_problem(text)  # Python's json reads these; JSON has no such numbers
+        parse_problem(text)  # Python's json reads these, 1e400 as inf; JSON has no such numbers
     for argv in (
         ["norm", "--input", str(path)],
         ["norm", "--input", fix("sup_summing3.json"), f"--p={float(literal)}"],

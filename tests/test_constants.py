@@ -22,6 +22,7 @@ from dirichlet_ruc import (
     experiment_prime_ap,
     experiment_summing_basis,
     hp_norm,
+    hprad_norm,
     primes_up_to,
     rademacher_average,
     ruc_constant_search,
@@ -84,16 +85,41 @@ def test_scale_invariance_exact_modes():
     assert a.ratio == b.ratio and a.numerator.mode == "exact"
 
 
-def test_scale_invariance_mc_shared_seed():
+def _rotation_cases():
+    """The 2.5 - 0.3j case, then a unimodular rotation on every route of the
+    denominator: the grid's same pass, the Monte Carlo pass with enumerated
+    or sampled signs, and hp_norm's grid under sampled signs (p = 2)."""
     D = DirichletPolynomial(SupSpace(3), {1: [1, 0, 0], 2: [1, 1, 0], 3: [1, 1, 1]})
-    a = ruc_ratio(D, 1, CFG)
-    b = ruc_ratio(D.scaled(2.5 - 0.3j), 1, CFG)
+    yield pytest.param(D, 2.5 - 0.3j, 1.0, CFG, id="sup-2.5-0.3j")
+    routes = {
+        "grid": SamplerConfig(seed=11, samples=2000),
+        "mc-enumerated": SamplerConfig(seed=11, samples=400, grid_policy=NO_GRID),
+        "mc-sampled": SamplerConfig(seed=11, samples=400, exact_cutoff=2, grid_policy=NO_GRID),
+        "quadrature-denominator": SamplerConfig(seed=11, samples=400, exact_cutoff=2),
+    }
+    rng = np.random.default_rng(19)
+    for space in (SupSpace(3), SequenceSpace(1.0, 3), SequenceSpace(3.0, 2), FunctionLr(1.0, 1)):
+        if isinstance(space, FunctionLr):
+            xs = [TrigPolynomial({(k,): complex(*rng.standard_normal(2)) for k in (-1, 0, 2)}, 1) for _ in range(4)]
+        else:
+            xs = [rng.standard_normal(space.d) + 1j * rng.standard_normal(space.d) for _ in range(4)]
+        D = DirichletPolynomial(space, dict(zip([2, 3, 5, 6], xs)))
+        for p in (1.0, 2.0, 3.0):
+            for route, cfg in routes.items():
+                yield pytest.param(D, np.exp(0.7j), p, cfg, id=f"{space}-p{p:g}-{route}")
+
+
+@pytest.mark.parametrize("D, scale, p, cfg", list(_rotation_cases()))
+def test_scale_invariance_mc_shared_seed(D, scale, p, cfg):
+    a = ruc_ratio(D, p, cfg)
+    b = ruc_ratio(D.scaled(scale), p, cfg)
     slack = 3 * (
         a.numerator.uncertainty / a.denominator.value
         + b.numerator.uncertainty / b.denominator.value
     )
     # shared panels leave only float-rounding differences, far below 3 sigma
     assert abs(a.ratio - b.ratio) <= max(slack, 1e-12)
+    assert b.ratio == pytest.approx(a.ratio, rel=1e-13, abs=0)
 
 
 def test_search_hilbert_stays_at_one():
@@ -158,9 +184,9 @@ def test_ruc_ratio_raises_on_a_non_positive_denominator(monkeypatch):
     original = randomized._mc_hprad
 
     def negative_denominator(*args):
-        numerator, same = original(*args)
-        seen.append(same.denominator.value)
-        return numerator, same._replace(denominator=Estimate(value=-1.0))
+        numerator, denominator, quad_error = original(*args)
+        seen.append(denominator.value)
+        return numerator, Estimate(value=-1.0), quad_error
 
     monkeypatch.setattr(randomized, "_mc_hprad", negative_denominator)
     D = DirichletPolynomial(SupSpace(2), {2: [1, 0.5], 3: [0.25, 1]})
@@ -169,6 +195,18 @@ def test_ruc_ratio_raises_on_a_non_positive_denominator(monkeypatch):
     assert len(seen) == 1 and seen[0] > 0  # the same pass gave the denominator
     with pytest.raises(UndefinedRatioError):
         ruc_ratio(scalar_polynomial({}), 1, CFG)
+
+
+@pytest.mark.parametrize("policy", [GridPolicy(), NO_GRID], ids=["grid", "mc"])
+def test_ratio_of_underflowing_norms_is_undefined(policy):
+    # At p = 3 the p-th powers of 1e-120 underflow, so every norm reads 0:
+    # the ratios raised a bare ZeroDivisionError, hprad_norm on the grid too.
+    D = DirichletPolynomial(SupSpace(2), {2: [1e-120, 0], 3: [0, 1e-120], 6: [1e-120, 1e-120]})
+    cfg = SamplerConfig(seed=3, samples=500, grid_policy=policy)
+    assert hprad_norm(D, 3, cfg).value == 0.0
+    for ratio in (ruc_ratio, rud_ratio):
+        with pytest.raises(UndefinedRatioError, match="not positive"):
+            ratio(D, 3, cfg)
 
 
 @pytest.mark.parametrize("p", [1.0, 3.0])

@@ -71,8 +71,8 @@ def _reduced(D, p, sizes, halves):
     xs, exps, _ = lift_arrays(D)
     used = exps[:, exps.any(axis=0)]
     route = (used, sizes, sizes, _grid_cosets(used, halves))
-    numerator, same = _grid_hprad(D.space, xs, route, p, _grid_columns(used, sizes))
-    return numerator.value, same.denominator.value
+    numerator, denominator, _ = _grid_hprad(D.space, xs, route, p, _grid_columns(used, sizes))
+    return numerator.value, denominator.value
 
 
 @st.composite

@@ -29,10 +29,10 @@ from dirichlet_ruc import (
     sampling,
     spaces,
 )
-from dirichlet_ruc.constants import _RatioPlan, _sup_normalize
+from dirichlet_ruc.constants import _ratio_report, _sup_normalize, describe_instance
 from dirichlet_ruc.dirichlet import lift_arrays
 from dirichlet_ruc.sampling import _grid_columns, _grid_sizes
-from dirichlet_ruc.randomized import _grid_cosets
+from dirichlet_ruc.randomized import _HpradPlan, _grid_cosets
 from dirichlet_ruc.spaces import CombinationEvaluator, combination_moments, grid_moments, scale_element
 
 from conftest import HALF_INNER_GRID
@@ -70,9 +70,9 @@ def two_families(draw):
 def test_plan_evaluation_equals_a_fresh_ruc_ratio(policy, polys, p):
     first, second = polys
     cfg = SamplerConfig(seed=3, samples=300, grid_policy=policy)
-    plan = _RatioPlan(first, p, cfg)
+    plan = _HpradPlan(first, p, cfg)
     xs, _, _ = lift_arrays(second)
-    report = plan.evaluate(xs)
+    report = _ratio_report(*plan.evaluate(xs, plain=True), describe_instance(first, p))
     assert report == ruc_ratio(second, p, cfg)
     if policy == NO_GRID:
         assert report.numerator.mode == "mc"
@@ -146,13 +146,13 @@ SEARCHES = {
 
 def _count_plans(monkeypatch):
     built = []
-    original = constants._RatioPlan
+    original = constants._HpradPlan
 
     def counted(D, p, cfg):
         built.append(tuple(D.support()))
         return original(D, p, cfg)
 
-    monkeypatch.setattr(constants, "_RatioPlan", counted)
+    monkeypatch.setattr(constants, "_HpradPlan", counted)
     return built
 
 
@@ -269,13 +269,13 @@ def test_sampled_signs_at_p2_keep_the_quadrature_denominator(monkeypatch, space)
     assert report.numerator.mode == "mc"
     search_cfg = SearchConfig(restarts=1, iterations=2)
     held = []
-    hold = _RatioPlan.hold
+    hold = _HpradPlan.hold
 
     def counted(plan):
         held.append(plan.entries)
         hold(plan)
 
-    monkeypatch.setattr(_RatioPlan, "hold", counted)
+    monkeypatch.setattr(_HpradPlan, "hold", counted)
     kept = ruc_constant_search(space, family, 2.0, search_cfg, cfg)
     assert held and held[0] > cfg.samples * 3  # the torus panel and the grid
     monkeypatch.setattr(constants, "_CHUNK_BUDGET", 0)
