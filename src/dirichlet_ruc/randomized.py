@@ -49,9 +49,11 @@ from .spaces import (
     CombinationEvaluator,
     Element,
     SpaceSpec,
+    _in_range,
     _inner_grid,
     _mirrored,
     _moment_chunk,
+    _rescaled,
     as_element,
     closed_form,
     combination_moments,
@@ -442,6 +444,7 @@ def _mc_hprad(
     -1, the identity's norms bit for bit); sampled, an all-ones pattern
     after the sampled ones, outside their mean and variance."""
     m = len(xs)
+    xs, factor = _in_range(space, xs, [p])
     signs, exact_outer, mirrored = outer
     evaluated = signs.shape[1]
     patterns = evaluated << mirrored  # the negated half is mirrored in below
@@ -517,7 +520,7 @@ def _mc_hprad(
     denominator = gap = None
     if plain:
         moments, half_moments = plain_moments
-        denominator = moments.estimates(None if coordinate else half_moments)[0]
+        (denominator,) = _rescaled(moments.estimates(None if coordinate else half_moments), factor)
         gap = 0.0  # the ratio's gap to that on the half inner grid
         if not coordinate:
             den_rough = half_moments.estimates()[0].value
@@ -529,7 +532,7 @@ def _mc_hprad(
     stderr = block_stderr(np.array(block_values))
     if not exact_outer and patterns > 1:
         stderr = math.sqrt(stderr**2 + float(inner.var(ddof=1)) / patterns)
-    return Estimate(value, stderr, samples, MODE_MC, quad_error), denominator, gap
+    return Estimate(value, stderr, samples, MODE_MC, quad_error).scaled(factor), denominator, gap
 
 
 def kahane_ratio(

@@ -8,7 +8,9 @@ the half grid, read from the grid's own moduli, as the reported error
 quadrature exact (Parseval).
 
 Every average of norm powers over a panel of multipliers runs through
-combination_moments; closed_form gives the averages that need none.
+combination_moments; closed_form gives the averages that need none.  A
+pass whose family would raise a power past the float range runs on the
+family scaled by a power of two, and scales its Estimates back (_in_range).
 """
 
 from __future__ import annotations
@@ -32,6 +34,15 @@ INNER_GRID = GridPolicy(factor=8, min_size=64, max_points=1 << 22)
 NORM_GRID = GridPolicy(factor=16, min_size=128, max_points=1 << 22)  # norm: INNER_GRID is its half
 
 _PATTERN_CHUNK = 1 << 13  # multiplier columns per block in a coordinate space
+# product values per column block of a function-space norms call (4 MiB of
+# complex), set by measurement: glibc sizes its mmap threshold from the
+# largest block freed, and smaller blocks left more later allocations
+# faulting their pages afresh
+_BLOCK_VALUES = 1 << 18
+# bits: a pass rescales a family whose largest modulus, raised to a power in
+# play, would leave [2^-512, 2^512] (_in_range); the other half of the
+# float range is room for the sums and the spread of the norms
+_POWER_RANGE = 512
 
 
 @dataclass(frozen=True)
@@ -215,6 +226,32 @@ def scale_element(x: Element, c: complex) -> Element:
     return c * x if isinstance(x, TrigPolynomial) else np.asarray(x) * c
 
 
+def _largest_modulus(xs: Sequence[Element]) -> float:
+    if not len(xs) or isinstance(xs[0], TrigPolynomial):
+        return max((abs(c) for x in xs for c in x.coeffs.values()), default=0.0)
+    return np.abs(np.concatenate(xs)).max()
+
+
+def _in_range(space: SpaceSpec, xs: Sequence[Element], powers: Sequence[float]):
+    """(xs scaled by 2^-e, 2^e), e decided once per pass from the family's
+    largest modulus M: the norm raises moduli to its own power r, and the
+    average raises norms to each q, and to 2q for a Monte Carlo variance.
+    When some M^power would pass 2^+-_POWER_RANGE, the family is brought to
+    M in [1/2, 1) and a pass's Estimates are scaled back by 2^e; otherwise
+    e = 0 and xs are returned as they are, bit for bit."""
+    e = math.frexp(_largest_modulus(xs))[1]  # 0 for 0, inf and nan
+    r = getattr(space, "r", 2.0 if isinstance(space, HilbertSpace) else 1.0)
+    power = max(r if r < math.inf else 1.0, 2.0 * max(powers, default=0.0))
+    if abs(e) * power <= _POWER_RANGE:
+        return xs, 1.0
+    e = max(-1020, min(e, 1020))  # 2^e and 2^-e both finite, for a subnormal M too
+    return [scale_element(x, math.ldexp(1.0, -e)) for x in xs], math.ldexp(1.0, e)
+
+
+def _rescaled(estimates: list[Estimate], factor: float) -> list[Estimate]:
+    return estimates if factor == 1.0 else [est.scaled(factor) for est in estimates]
+
+
 def hilbert_norm(space: SpaceSpec, x: Element) -> float:
     """Exact norm for hilbertian spaces (modulus / l2 / Parseval)."""
     if not is_hilbertian(space):
@@ -306,7 +343,8 @@ class CombinationEvaluator:
     signs, every column is taken under each pattern eps_k, as the norm of
     sum_n eps_k[n] C[n, m] x_n: the R families eps_k x are stacked, so one
     product evaluates them all, and column m under pattern k gives norm
-    m * R + k.
+    m * R + k.  In a function space the columns are evaluated a column
+    block of about _BLOCK_VALUES product values at a time (_column_blocks).
     """
 
     def __init__(
@@ -349,22 +387,43 @@ class CombinationEvaluator:
             raise ShapeError(
                 f"expected {len(self.xs)} coefficient rows, got {c.shape[0]}"
             )
-        values = self._stacked @ c
-        shape = (self.patterns, -1, c.shape[1])  # (patterns, rows, columns)
         if self._grid is None:
-            norms = coordinate_norms(self.space, values.reshape(shape), axis=1)
-        else:
-            r = self.space.r
-            mags = np.abs(values)
-            del values  # the complex values are the largest block: free them first
-            mags **= r
-            powers = mags.reshape(shape)
-            norms = powers.mean(axis=1) ** (1.0 / r)
+            values = (self._stacked @ c).reshape(self.patterns, -1, c.shape[1])
+            return coordinate_norms(self.space, values, axis=1).T.reshape(-1)
+        r, rows, groups = self.space.r, self._stacked.shape[0], self.patterns
+        blocks = _column_blocks(c.shape[1], rows)
+        size = rows * max(hi - lo for lo, hi in blocks)
+        # one product and one moduli buffer for every block of the call
+        values, mags = np.empty(size, dtype=np.complex128), np.empty(size)
+        norms = np.empty(c.shape[1] * groups)
+        for lo, hi in blocks:
+            n = rows * (hi - lo)
+            product = np.matmul(self._stacked, c[:, lo:hi], out=values[:n].reshape(rows, -1))
+            powers = np.abs(product, out=mags[:n].reshape(rows, -1))
+            powers **= r
+            powers = powers.reshape(groups, -1, hi - lo)  # (patterns, grid points, columns)
+            norms[lo * groups : hi * groups] = (powers.mean(axis=1) ** (1.0 / r)).T.reshape(-1)
             if half is not None:  # a strided view: a copy of its rows raised peak RSS
-                grid = powers.reshape(self.patterns, *self._grid, -1)
-                rows = grid[(slice(None), *_half_points(self._grid, self._half))]
-                half[:] = (rows.mean(axis=tuple(range(1, rows.ndim - 1))) ** (1.0 / r)).T.reshape(-1)
-        return norms.T.reshape(-1)
+                grid = powers.reshape(groups, *self._grid, -1)
+                points = grid[(slice(None), *_half_points(self._grid, self._half))]
+                means = points.mean(axis=tuple(range(1, points.ndim - 1)))
+                half[lo * groups : hi * groups] = (means ** (1.0 / r)).T.reshape(-1)
+        return norms
+
+
+def _column_blocks(columns: int, rows: int) -> list[tuple[int, int]]:
+    """[lo, hi) column ranges of a function-space norms call over `rows`
+    product rows: about _BLOCK_VALUES values each, and at most
+    max(_BLOCK_VALUES, 8 * rows).  A column's norm is the same in any block
+    when every block but the last is a multiple of 8 columns wide, so that
+    BLAS column tails fall on the same columns, and no block has 1 column
+    unless the call has 1: numpy sends a 1-column product to gemv and sums
+    a 1-column mean pairwise, and both round differently."""
+    width = max(8, _BLOCK_VALUES // rows // 8 * 8)
+    bounds = [*range(0, columns, width), columns]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]  # the 1-column remainder joins the block before it
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _sign_chunks(matrix: np.ndarray, first: np.ndarray, count: int):
@@ -426,8 +485,9 @@ def combination_moments(
     first pattern's index; in a coordinate space whose columns span several
     chunks, only the first chunk is drawn (see _sign_chunks).
     """
+    xs, factor = _in_range(space, xs, powers)
     moments, _ = _moment_pass(space, xs, draw, count, powers, mc, mirrored, patterns, signs)
-    return moments[0].estimates(moments[1] if len(moments) > 1 else None)
+    return _rescaled(moments[0].estimates(moments[1] if len(moments) > 1 else None), factor)
 
 
 def grid_moments(
@@ -448,9 +508,14 @@ def grid_moments(
     grid (values alone), None in a coordinate space."""
     mask = np.zeros(fine, dtype=bool)
     mask[_half_points(fine, half)] = True
+    xs, factor = _in_range(space, xs, powers)
     moments, rough = _moment_pass(space, xs, draw, mask.size, powers, patterns=patterns, coarse=mask.ravel())
     inner = moments[1] if len(moments) > 1 else None
-    return moments[0].estimates(inner), rough.estimates(), None if inner is None else inner.estimates()
+    return (
+        _rescaled(moments[0].estimates(inner), factor),
+        _rescaled(rough.estimates(), factor),
+        None if inner is None else _rescaled(inner.estimates(), factor),
+    )
 
 
 def _moment_chunk(evaluator: CombinationEvaluator) -> int:
@@ -510,10 +575,10 @@ def _moment_pass(
 
 def norm(space: SpaceSpec, x) -> Estimate:
     """Norm oracle; exact for coordinate spaces, quadrature for L_r models."""
-    x = as_element(space, x)
+    (x,), factor = _in_range(space, [as_element(space, x)], [])
     if is_coordinate(space):
         value = float(coordinate_norms(space, np.asarray(x)[:, None])[0])
-        return Estimate(value=value, mode=MODE_EXACT)
+        return Estimate(value=value, mode=MODE_EXACT).scaled(factor)
     if x.is_zero():
         return Estimate(value=0.0, mode=MODE_EXACT)
     evaluator = CombinationEvaluator(space, [x], NORM_GRID)
@@ -524,7 +589,7 @@ def norm(space: SpaceSpec, x) -> Estimate:
         mode=MODE_QUADRATURE,
         quad_error=abs(value - float(rough[0])),
         samples_used=evaluator.grid_points,
-    )
+    ).scaled(factor)
 
 
 def closed_form(space: SpaceSpec, xs: Sequence[Element], q: float) -> Estimate | None:
@@ -538,8 +603,9 @@ def closed_form(space: SpaceSpec, xs: Sequence[Element], q: float) -> Estimate |
     if len(xs) == 1:
         return norm(space, xs[0])
     if q == 2 and is_hilbertian(space):
+        xs, factor = _in_range(space, xs, [q])
         value = math.sqrt(sum(hilbert_norm(space, x) ** 2 for x in xs))
-        return Estimate(value=value, mode=MODE_EXACT)
+        return Estimate(value=value, mode=MODE_EXACT).scaled(factor)
     return None
 
 

@@ -50,6 +50,14 @@ GOLDEN_COMMANDS = {
         "ruc-search", "--input", fix("sup_summing3_sampled.json"),
         "--restarts", "1", "--iterations", "2",
     ],
+    # FunctionLr(1.5, 2): every averaged norm spans several column blocks
+    "rad_norm_function_lr2": ["rad-norm", "--input", fix("function_lr2.json")],
+    "norm_function_lr2_mc": ["norm", "--input", fix("function_lr2.json"), "--method", "mc"],
+    "hprad_norm_function_lr2": ["hprad-norm", "--input", fix("function_lr2.json")],
+    "ruc_ratio_function_lr2": ["ruc-ratio", "--input", fix("function_lr2.json")],
+    # the same family with every polytorus grid refused: the Monte Carlo routes
+    "hprad_norm_function_lr2_mc": ["hprad-norm", "--input", fix("function_lr2_mc.json")],
+    "ruc_ratio_function_lr2_mc": ["ruc-ratio", "--input", fix("function_lr2_mc.json")],
     "type_witness_l2pair": ["type-witness", "--input", fix("l2pair.json")],
     "cotype_witness_l2pair": ["cotype-witness", "--input", fix("l2pair.json")],
     "experiment_prime_ap": [
@@ -139,25 +147,39 @@ def test_zero_polynomial_ratio_exits_2(tmp_path):
     assert run_cli(["ruc-ratio", "--input", str(path)])[2] == "error: zero polynomial\n"
 
 
-UNDERFLOWING = {  # at p = 3 the p-th powers of 1e-120 underflow: every norm reads 0
-    "schema": 1, "space": {"variant": "Sup", "d": 2}, "p": 3,
-    "terms": [
-        {"n": 2, "x": [[1e-120, 0], [0, 0]]},
-        {"n": 3, "x": [[0, 0], [1e-120, 0]]},
-        {"n": 6, "x": [[1e-120, 0], [1e-120, 0]]},
-    ],
-}
+def _sup_family(scale):
+    return {
+        "schema": 1, "space": {"variant": "Sup", "d": 2}, "p": 3,
+        "terms": [
+            {"n": 2, "x": [[scale, 0], [0, 0]]},
+            {"n": 3, "x": [[0, 0], [scale, 0]]},
+            {"n": 6, "x": [[scale, 0], [scale, 0]]},
+        ],
+    }
 
 
-def test_ratio_of_underflowing_norms_exits_2(tmp_path):
-    path = tmp_path / "underflow.json"
-    path.write_text(json.dumps(UNDERFLOWING))
-    # both ended in a ZeroDivisionError traceback
-    for command in ("ruc-ratio", "ruc-search"):
-        code, out, err = run_cli([command, "--input", str(path)])
-        assert (code, out, err) == (2, "", "error: denominator estimate is not positive\n"), command
-    code, out, err = run_cli(["hprad-norm", "--input", str(path)])
-    assert code == 0, err
+def _first_row(out):
+    header, row = out.splitlines()[:2]
+    return dict(zip(header.split(","), row.split(",")))
+
+
+def test_ratio_of_underflowing_norms_is_the_unit_ratio(tmp_path):
+    # At p = 3 the p-th powers of 1e-120 underflow: every norm read 0, and
+    # ruc-ratio and ruc-search exited 2 (a ZeroDivisionError before that).
+    rows = {}
+    for scale in (1, 1e-120):
+        path = tmp_path / f"family_{scale}.json"
+        path.write_text(json.dumps(_sup_family(scale)))
+        for command in ("ruc-ratio", "ruc-search", "hprad-norm"):
+            code, out, err = run_cli([command, "--input", str(path)])
+            assert code == 0, err
+            rows[scale, command] = _first_row(out)
+    for command, ratio in (("ruc-ratio", "ratio"), ("ruc-search", "best_ratio")):
+        tiny, unit = rows[1e-120, command], rows[1, command]
+        assert float(tiny[ratio]) == pytest.approx(float(unit[ratio]), rel=1e-13)
+        assert float(tiny["numerator"]) == pytest.approx(float(unit["numerator"]) * 1e-120, rel=1e-13)
+    tiny, unit = rows[1e-120, "hprad-norm"], rows[1, "hprad-norm"]
+    assert float(tiny["value"]) == pytest.approx(float(unit["value"]) * 1e-120, rel=1e-13)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -197,16 +198,66 @@ def test_ruc_ratio_raises_on_a_non_positive_denominator(monkeypatch):
         ruc_ratio(scalar_polynomial({}), 1, CFG)
 
 
+def _close(scaled: Estimate, unit: Estimate, scale: float) -> bool:
+    """scaled is unit times scale to 1e-13 relative; a quad_error, the gap
+    between two close values, to 1e-13 of the value."""
+    return (
+        scaled.mode == unit.mode
+        and scaled.value == pytest.approx(unit.value * scale, rel=1e-13)
+        and scaled.stderr == pytest.approx(unit.stderr * scale, rel=1e-13)
+        and scaled.quad_error == pytest.approx(unit.quad_error * scale, rel=0, abs=1e-13 * scaled.value)
+    )
+
+
+@pytest.mark.parametrize("scale", [1e-120, 1e200])
 @pytest.mark.parametrize("policy", [GridPolicy(), NO_GRID], ids=["grid", "mc"])
-def test_ratio_of_underflowing_norms_is_undefined(policy):
-    # At p = 3 the p-th powers of 1e-120 underflow, so every norm reads 0:
-    # the ratios raised a bare ZeroDivisionError, hprad_norm on the grid too.
-    D = DirichletPolynomial(SupSpace(2), {2: [1e-120, 0], 3: [0, 1e-120], 6: [1e-120, 1e-120]})
-    cfg = SamplerConfig(seed=3, samples=500, grid_policy=policy)
-    assert hprad_norm(D, 3, cfg).value == 0.0
-    for ratio in (ruc_ratio, rud_ratio):
-        with pytest.raises(UndefinedRatioError, match="not positive"):
-            ratio(D, 3, cfg)
+def test_norms_of_tiny_and_huge_families_scale_with_them(policy, scale):
+    # At p = 3 the p-th powers of 1e-120 underflow and those of 1e200
+    # overflow: every norm read 0 or inf, the ratios raised
+    # UndefinedRatioError or read nan.  Each pass now brings such a family
+    # to a largest modulus near 1 and scales its Estimates back.
+    unit = {2: [1, 0], 3: [0, 1], 6: [1, 1]}
+    cfg = SamplerConfig(seed=1, samples=2000, grid_policy=policy)
+    results = {}
+    for s in (1.0, scale):
+        D = DirichletPolynomial(SupSpace(2), {n: np.array(x) * s for n, x in unit.items()})
+        family = [np.array(x) * s for x in unit.values()]
+        results[s] = (
+            hp_norm(D, 3, cfg),
+            hprad_norm(D, 3, cfg),
+            rademacher_average(family, SupSpace(2), 3, cfg),
+            space_norm(SequenceSpace(3, 2), np.array([s, s])),
+            ruc_ratio(D, 3, cfg),
+            rud_ratio(D, 3, cfg),
+        )
+    *estimates, ruc, rud = results[scale]
+    *units, unit_ruc, unit_rud = results[1.0]
+    assert all(math.isfinite(e.value) and e.value > 0 for e in estimates)
+    for scaled, reference in zip(estimates, units):
+        assert _close(scaled, reference, scale), (scaled, reference)
+    for report, reference in ((ruc, unit_ruc), (rud, unit_rud)):
+        assert report.ratio == pytest.approx(reference.ratio, rel=1e-13)
+        assert _close(report.numerator, reference.numerator, scale)
+        assert _close(report.denominator, reference.denominator, scale)
+
+
+@pytest.mark.parametrize("scale", [1e-120, 1e200])
+def test_function_space_norms_of_tiny_and_huge_families_scale_with_them(scale):
+    unit = [TrigPolynomial({(0,): 1.0, (1,): 0.5j}, 1), TrigPolynomial({(2,): 1.0, (-1,): -0.25}, 1)]
+    space = FunctionLr(3.0, 1)
+    cfg = SamplerConfig(seed=1, samples=400)
+    results = {}
+    for s in (1.0, scale):
+        family = [s * x for x in unit]
+        D = DirichletPolynomial(space, dict(zip([2, 3], family)))
+        results[s] = (
+            space_norm(space, family[0]),
+            rademacher_average(family, space, 3, cfg),
+            hp_norm(D, 3, cfg),
+            hprad_norm(D, 3, replace(cfg, grid_policy=NO_GRID)),
+        )
+    for scaled, reference in zip(results[scale], results[1.0]):
+        assert _close(scaled, reference, scale), (scaled, reference)
 
 
 @pytest.mark.parametrize("p", [1.0, 3.0])

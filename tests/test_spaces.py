@@ -1,4 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,25 +13,35 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import integrate
 
+import dirichlet_ruc
 from dirichlet_ruc import (
+    DirichletPolynomial,
     DomainError,
     FunctionLr,
+    GridPolicy,
     ResourceError,
     HilbertSpace,
     SequenceSpace,
     ShapeError,
     SupSpace,
+    SamplerConfig,
     TrigPolynomial,
+    hp_norm,
+    hprad_norm,
     norm,
+    rad_norm,
+    ruc_ratio,
     summing_combination,
     trig_eval,
 )
 from dirichlet_ruc import spaces
 from dirichlet_ruc.errors import ArityError
+from dirichlet_ruc.sampling import _half_points
 from dirichlet_ruc.spaces import (
     INNER_GRID,
     NORM_GRID,
     CombinationEvaluator,
+    _column_blocks,
     _inner_grid,
     as_element,
     coordinate_norms,
@@ -325,3 +341,137 @@ def test_norm_reads_its_error_from_one_pass(k):
         assert est.quad_error == abs(value - rough)
     else:  # each norm within 1e-15 relative of its own pass
         assert est.quad_error == pytest.approx(abs(value - rough), rel=0, abs=2e-15 * value)
+
+
+def _one_product_norms(evaluator, c, half=None):
+    """CombinationEvaluator.norms in a function space as one product over
+    every column, the rule before column blocks."""
+    r = evaluator.space.r
+    mags = np.abs(evaluator._stacked @ c)
+    mags **= r
+    powers = mags.reshape(evaluator.patterns, -1, c.shape[1])
+    if half is not None:
+        grid = powers.reshape(evaluator.patterns, *evaluator._grid, -1)
+        rows = grid[(slice(None), *_half_points(evaluator._grid, evaluator._half))]
+        half[:] = (rows.mean(axis=tuple(range(1, rows.ndim - 1))) ** (1.0 / r)).T.reshape(-1)
+    return (powers.mean(axis=1) ** (1.0 / r)).T.reshape(-1)
+
+
+@st.composite
+def _blocked_cases(draw):
+    k = draw(st.sampled_from([1, 2, 3]))
+    r = draw(st.sampled_from([1.0, 1.5, 3.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    signs = draw(st.booleans())
+    with_half = draw(st.booleans())
+    budget = draw(st.sampled_from([1, 8, 12, 16, 20, 24]))  # rows per block before the width rule
+    count = draw(st.sampled_from(["1", "2", "w-1", "w", "w+1", "3w+1"]))
+    min_size = draw(st.sampled_from([4, 8]))  # small grids keep k = 3 within a few MiB
+    return k, r, seed, signs, with_half, budget, count, min_size
+
+
+@settings(max_examples=200, deadline=None)
+@given(_blocked_cases())
+def test_blocked_norms_equal_one_product_bitwise(case):
+    k, r, seed, signs, with_half, budget, count, min_size = case
+    rng = np.random.default_rng(seed)
+    xs = [_random_trig(rng, k, top=2) for _ in range(3)]
+    patterns = np.array([[1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]) if signs else None
+    evaluator = CombinationEvaluator(FunctionLr(r, k), xs, GridPolicy(2, min_size), patterns)
+    rows = evaluator.patterns * evaluator.grid_points
+    width = max(8, budget // 8 * 8)
+    columns = {"1": 1, "2": 2, "w-1": width - 1, "w": width, "w+1": width + 1, "3w+1": 3 * width + 1}[count]
+    c = rng.standard_normal((3, columns)) + 1j * rng.standard_normal((3, columns))
+    expected_half = np.empty(columns * evaluator.patterns)
+    expected = _one_product_norms(evaluator, c, expected_half if with_half else None)
+    half = np.empty(columns * evaluator.patterns) if with_half else None
+    with mock.patch.object(spaces, "_BLOCK_VALUES", budget * rows):
+        assert len(_column_blocks(columns, rows)) == max(1, (columns - 1) // width)  # w + 1 is one block
+        values = evaluator.norms(c, half)
+    assert values.tobytes() == expected.tobytes()
+    if with_half:
+        assert half.tobytes() == expected_half.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 7, 3000, 4096, 1 << 15, 1 << 17, 1 << 20])
+@pytest.mark.parametrize("columns", [1, 2, 8, 9, 63, 64, 65, 129, 512, 1000])
+def test_column_blocks_keep_the_bit_rules(rows, columns):
+    blocks = _column_blocks(columns, rows)
+    widths = [hi - lo for lo, hi in blocks]
+    assert blocks[0][0] == 0 and blocks[-1][1] == columns
+    assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+    assert all(w % 8 == 0 for w in widths[:-1])  # BLAS column tails on the same columns
+    assert 1 not in widths or widths == [1]  # no gemv and no pairwise 1-column mean
+    width = max(8, spaces._BLOCK_VALUES // rows // 8 * 8)
+    assert width * rows <= max(spaces._BLOCK_VALUES, 8 * rows)
+    assert max(widths[:-1], default=0) <= width and widths[-1] <= width + 1  # + a joined remainder
+
+
+def _exact_signs_family(m, seed=0):
+    """A family shaped like the exact_signs workload's FunctionLr(1, 2) op:
+    three exponents in [-3, 3]^2 per element, normal complex coefficients."""
+    rng = np.random.default_rng(seed)
+    polys = []
+    for _ in range(m):
+        keys = {tuple(int(e) for e in rng.integers(-3, 4, size=2)) for _ in range(3)}
+        polys.append(TrigPolynomial({key: complex(*rng.standard_normal(2)) for key in keys}, 2))
+    return polys
+
+
+def test_rad_norm_on_a_function_space_adds_little_resident_memory():
+    # One 512-column product over 4096 grid points took 32 MiB of complex
+    # values and 16 MiB of moduli, and the process grew by about 50 MiB.
+    # The peak is VmHWM, the high-water mark of the process's own pages:
+    # ru_maxrss carries the launching process's peak through fork and exec.
+    code = (
+        "def peak():\n"
+        "    return int(next(l for l in open('/proc/self/status') if l.startswith('VmHWM')).split()[1])\n"
+        "import numpy as np\n"
+        "from dirichlet_ruc import FunctionLr, SamplerConfig, TrigPolynomial, rad_norm\n"
+        "rng = np.random.default_rng(0)\n"
+        "family = []\n"
+        "for _ in range(10):\n"
+        "    keys = {tuple(int(e) for e in rng.integers(-3, 4, size=2)) for _ in range(3)}\n"
+        "    family.append(TrigPolynomial({key: complex(*rng.standard_normal(2)) for key in keys}, 2))\n"
+        "before = peak()\n"
+        "assert rad_norm(family, FunctionLr(1.0, 2), SamplerConfig()).mode == 'quadrature'\n"
+        "print(peak() - before)\n"
+    )
+    src = str(Path(dirichlet_ruc.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) <= 20 * 1024  # KiB
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _function_polynomial(support):
+    return DirichletPolynomial(FunctionLr(1.0, 2), dict(zip(support, _exact_signs_family(len(support), 1))))
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("rad_norm", lambda: rad_norm(_exact_signs_family(10), FunctionLr(1.0, 2), SamplerConfig())),
+        ("hp_norm_mc", lambda: hp_norm(
+            _function_polynomial([2, 3, 5, 7]), 1.0, SamplerConfig(seed=1, samples=2000), method="mc")),
+        ("hprad_norm_off_the_grid", lambda: hprad_norm(
+            _function_polynomial([2, 3, 5, 7]), 1.0, SamplerConfig(seed=1, samples=400))),
+        ("ruc_ratio_on_the_grid", lambda: ruc_ratio(
+            _function_polynomial([2, 3, 4, 6]), 1.0, SamplerConfig(seed=1, samples=400))),
+    ],
+)
+def test_function_space_averages_stay_within_a_few_blocks(name, call):
+    # Each makes norms calls of 2^21 product values, which took about 48 MiB
+    # as one product; in blocks of 2^18 values they take about 9 MiB.
+    assert _traced_peak(call) <= 16 * 1024 * 1024
