@@ -53,7 +53,6 @@ from .spaces import (
     _inner_grid,
     _mirrored,
     _moment_chunk,
-    _rescaled,
     as_element,
     closed_form,
     combination_moments,
@@ -392,14 +391,20 @@ class _HpradPlan:
         if self.closed:
             closed = closed_form(self.space, xs, self.p)
             return closed, closed, None
+        # the passes run on an in-range family; a ratio's error has no scale
+        xs, factor = _in_range(self.space, xs, [self.p])
         if self.route is not None:
-            return _grid_hprad(self.space, xs, self.route, self.p, self.columns)
-        same = plain and self.grid is None
-        numerator, denominator, quad_error = _mc_hprad(
-            self.space, xs, self.p, self.cfg.samples, self.outer, self.columns, same
-        )
-        if plain and not same:
-            denominator = _quadrature_norm(self.space, xs, self.grid, self.p)
+            numerator, denominator, quad_error = _grid_hprad(self.space, xs, self.route, self.p, self.columns)
+        else:
+            same = plain and self.grid is None
+            numerator, denominator, quad_error = _mc_hprad(
+                self.space, xs, self.p, self.cfg.samples, self.outer, self.columns, same
+            )
+            if plain and not same:
+                denominator = _quadrature_norm(self.space, xs, self.grid, self.p)
+        if factor != 1.0:
+            numerator = numerator.scaled(factor)
+            denominator = None if denominator is None else denominator.scaled(factor)
         return numerator, denominator, quad_error
 
 
@@ -444,7 +449,6 @@ def _mc_hprad(
     -1, the identity's norms bit for bit); sampled, an all-ones pattern
     after the sampled ones, outside their mean and variance."""
     m = len(xs)
-    xs, factor = _in_range(space, xs, [p])
     signs, exact_outer, mirrored = outer
     evaluated = signs.shape[1]
     patterns = evaluated << mirrored  # the negated half is mirrored in below
@@ -520,7 +524,7 @@ def _mc_hprad(
     denominator = gap = None
     if plain:
         moments, half_moments = plain_moments
-        (denominator,) = _rescaled(moments.estimates(None if coordinate else half_moments), factor)
+        denominator = moments.estimates(None if coordinate else half_moments)[0]
         gap = 0.0  # the ratio's gap to that on the half inner grid
         if not coordinate:
             den_rough = half_moments.estimates()[0].value
@@ -532,7 +536,7 @@ def _mc_hprad(
     stderr = block_stderr(np.array(block_values))
     if not exact_outer and patterns > 1:
         stderr = math.sqrt(stderr**2 + float(inner.var(ddof=1)) / patterns)
-    return Estimate(value, stderr, samples, MODE_MC, quad_error).scaled(factor), denominator, gap
+    return Estimate(value, stderr, samples, MODE_MC, quad_error), denominator, gap
 
 
 def kahane_ratio(

@@ -414,7 +414,8 @@ class CombinationEvaluator:
 def _column_blocks(columns: int, rows: int) -> list[tuple[int, int]]:
     """[lo, hi) column ranges of a function-space norms call over `rows`
     product rows: about _BLOCK_VALUES values each, and at most
-    max(_BLOCK_VALUES, 8 * rows).  A column's norm is the same in any block
+    max(_BLOCK_VALUES, 8 * rows) + rows, the last block with a joined
+    1-column remainder.  A column's norm is the same in any block
     when every block but the last is a multiple of 8 columns wide, so that
     BLAS column tails fall on the same columns, and no block has 1 column
     unless the call has 1: numpy sends a 1-column product to gemv and sums

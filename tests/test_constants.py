@@ -241,23 +241,39 @@ def test_norms_of_tiny_and_huge_families_scale_with_them(policy, scale):
         assert _close(report.denominator, reference.denominator, scale)
 
 
-@pytest.mark.parametrize("scale", [1e-120, 1e200])
-def test_function_space_norms_of_tiny_and_huge_families_scale_with_them(scale):
+@pytest.mark.parametrize(
+    "r, p, scale",
+    # 1e-8 is in range for every power but the Monte Carlo variance's 2p = 20
+    [(3.0, 3, 1e-120), (3.0, 3, 1e200), (1.0, 10, 1e-8)],
+)
+def test_function_space_norms_of_tiny_and_huge_families_scale_with_them(r, p, scale):
     unit = [TrigPolynomial({(0,): 1.0, (1,): 0.5j}, 1), TrigPolynomial({(2,): 1.0, (-1,): -0.25}, 1)]
-    space = FunctionLr(3.0, 1)
+    space = FunctionLr(r, 1)
     cfg = SamplerConfig(seed=1, samples=400)
+    mc = replace(cfg, grid_policy=NO_GRID)  # p != 2: the ratio's denominator is the same pass's
     results = {}
     for s in (1.0, scale):
         family = [s * x for x in unit]
         D = DirichletPolynomial(space, dict(zip([2, 3], family)))
         results[s] = (
             space_norm(space, family[0]),
-            rademacher_average(family, space, 3, cfg),
-            hp_norm(D, 3, cfg),
-            hprad_norm(D, 3, replace(cfg, grid_policy=NO_GRID)),
+            rademacher_average(family, space, p, cfg),
+            hp_norm(D, p, cfg),
+            hprad_norm(D, p, mc),
+            ruc_ratio(D, p, cfg),
+            ruc_ratio(D, p, mc),
+            rud_ratio(D, p, mc),
         )
-    for scaled, reference in zip(results[scale], results[1.0]):
+    *estimates, grid_ruc, ruc, rud = results[scale]
+    *units, unit_grid_ruc, unit_ruc, unit_rud = results[1.0]
+    for scaled, reference in zip(estimates, units):
         assert _close(scaled, reference, scale), (scaled, reference)
+    for report, reference in ((grid_ruc, unit_grid_ruc), (ruc, unit_ruc), (rud, unit_rud)):
+        assert report.ratio == pytest.approx(reference.ratio, rel=1e-13)
+        # the gap between two close ratios, free of the family's scale
+        assert report.quad_error == pytest.approx(reference.quad_error, rel=0, abs=1e-13 * report.ratio)
+        assert _close(report.numerator, reference.numerator, scale)
+        assert _close(report.denominator, reference.denominator, scale)
 
 
 @pytest.mark.parametrize("p", [1.0, 3.0])

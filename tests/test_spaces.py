@@ -405,6 +405,7 @@ def test_column_blocks_keep_the_bit_rules(rows, columns):
     width = max(8, spaces._BLOCK_VALUES // rows // 8 * 8)
     assert width * rows <= max(spaces._BLOCK_VALUES, 8 * rows)
     assert max(widths[:-1], default=0) <= width and widths[-1] <= width + 1  # + a joined remainder
+    assert max(widths) * rows <= max(spaces._BLOCK_VALUES, 8 * rows) + rows
 
 
 def _exact_signs_family(m, seed=0):
