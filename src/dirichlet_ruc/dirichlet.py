@@ -27,6 +27,7 @@ from .sampling import (
     SamplerConfig,
     _grid_columns,
     _grid_sizes,
+    _panel,
     torus_characters,
 )
 from .spaces import (
@@ -196,7 +197,7 @@ def _polytorus_norm(
         return _quadrature_norm(space, xs, grid, p)
 
     def draw(lo: int, count: int) -> np.ndarray:
-        return torus_characters(exponents, cfg.seed, STREAM_TORUS, lo, count).T
+        return torus_characters(exponents, cfg.seed, STREAM_TORUS, lo, count, out=_panel(count, len(xs))).T
 
     return combination_moments(space, xs, draw, cfg.samples, [p], mc=True)[0]
 

@@ -36,6 +36,7 @@ from .sampling import (
     _grid_columns,
     _grid_sizes,
     _held_columns,
+    _panel,
     block_stderr,
     combined_stderr,
     gaussian_samples,
@@ -97,7 +98,7 @@ def _sign_rule(
     def draw(lo: int, n: int) -> np.ndarray:
         if exact:
             return _sign_patterns(m, lo, lo + n)
-        return sign_samples(cfg.seed, stream, n, m, start=lo).T
+        return sign_samples(cfg.seed, stream, n, m, start=lo, out=_panel(n, m)).T
 
     return draw, count, exact, mirrored
 
@@ -147,7 +148,7 @@ def steinhaus_average(
     m = len(elements)
 
     def draw(lo: int, n: int) -> np.ndarray:
-        return steinhaus_samples(cfg.seed, STREAM_STEINHAUS, n, m, start=lo).T
+        return steinhaus_samples(cfg.seed, STREAM_STEINHAUS, n, m, start=lo, out=_panel(n, m)).T
 
     return combination_moments(space, elements, draw, cfg.samples, [q], mc=True)[0]
 
@@ -179,7 +180,8 @@ def gaussian_average(
     m = len(elements)
 
     def draw(lo: int, n: int) -> np.ndarray:
-        return gaussian_samples(cfg.seed, STREAM_GAUSSIAN, n, m, variant, start=lo).T
+        panel = _panel(n, m, np.complex128 if variant == "complex" else np.float64)
+        return gaussian_samples(cfg.seed, STREAM_GAUSSIAN, n, m, variant, start=lo, out=panel).T
 
     return combination_moments(space, elements, draw, cfg.samples, [q], mc=True)[0]
 
@@ -368,8 +370,9 @@ class _HpradPlan:
             exponents = self.exponents
             self.columns = lambda lo, n: torus_characters(exponents, cfg.seed, STREAM_TORUS, lo, n).T
             self.points = cfg.samples
-            # (m, evaluated); F order would switch BLAS rounding
-            self.outer = np.ascontiguousarray(draw(0, evaluated)), exact, mirrored
+            # (m, evaluated) real signs (a sampled draw comes complex); F
+            # order would switch BLAS rounding
+            self.outer = np.ascontiguousarray(draw(0, evaluated).real), exact, mirrored
             # hp_norm's quadrature (p = 2, few variables) gives a ratio's plain
             # norm far more accurately than one pattern of the Monte Carlo pass
             self.grid = _quadrature_grid(self.exponents, p, cfg, "auto")

@@ -10,6 +10,8 @@ finalizer applied to structured counters, vectorized over numpy uint64
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -125,6 +127,51 @@ _BLOCK = 1 << 14  # words per cache-sized block of the RNG and the torus exponen
 _TURN = 2 * math.pi * 2.0**-64  # radians per fixed-point unit
 
 
+class _Workspace(threading.local):
+    """The block-sized buffers of Monte Carlo passes, one set per thread.
+
+    While a pass holds them (`holding`), take(name, shape, dtype) returns a
+    view of the thread's buffer `name`, grown to the largest request and
+    kept across blocks, chunks and calls, so its pages fault once instead of
+    on every chunk; a name's view is dead once the name is taken again.
+    Otherwise take returns a fresh array, so held panels, exact and grid
+    passes keep their own memory."""
+
+    def __init__(self):
+        self.buffers: dict[str, np.ndarray] = {}
+        self.held = False
+
+    @contextmanager
+    def holding(self):
+        before, self.held = self.held, True
+        try:
+            yield
+        finally:
+            self.held = before
+
+    def take(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        if not self.held:
+            return np.empty(shape, dtype)
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        buffer = self.buffers.get(name)
+        if buffer is None or buffer.size < size:
+            buffer = self.buffers[name] = np.empty(size, np.uint8)
+        return buffer[:size].view(dtype).reshape(shape)
+
+
+_WORKSPACE = _Workspace()
+
+
+def _words(count: int, width: int) -> np.ndarray:
+    """The workspace's (count, width) buffer for a draw's counter words."""
+    return _WORKSPACE.take("words", (count, width), np.uint64)
+
+
+def _panel(count: int, width: int, dtype=np.complex128) -> np.ndarray:
+    """The workspace's (count, width) buffer for a pass's multipliers."""
+    return _WORKSPACE.take("panel", (count, width), dtype)
+
+
 def _mix64(x: np.ndarray, scratch: np.ndarray) -> None:
     """SplitMix64 finalizer, in place; scratch is a buffer of x's shape."""
     np.right_shift(x, _U64(30), out=scratch)
@@ -151,22 +198,24 @@ def uniform_bits(
     width: int,
     start: int = 0,
     columns: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """(count, width) array of uniform uint64 words, indexed by counter.
 
     Word (i, j) hashes counter (start + i) * width + j.  With `columns`, only
     those columns are drawn: a (count, len(columns)) array whose every word
     equals the matching word of the full draw.  A word doubles as a uniform
-    torus angle in 64-bit fixed point (turns * 2**64).
+    torus angle in 64-bit fixed point (turns * 2**64).  The words are
+    written into `out` (C-contiguous uint64) when it is given.
     """
     cols = np.arange(width, dtype=np.uint64) if columns is None else np.asarray(columns, np.uint64)
     rows = np.arange(start, start + count, dtype=np.uint64)
     rows *= _U64(width)
-    words = np.empty((count, cols.size), dtype=np.uint64)
+    words = np.empty((count, cols.size), dtype=np.uint64) if out is None else out
     np.add(rows[:, None], cols[None, :], out=words)  # the counters
     key = _stream_key(seed, stream)
     flat = words.reshape(-1)
-    scratch = np.empty(min(_BLOCK, flat.size), dtype=np.uint64)
+    scratch = _WORKSPACE.take("mix", (min(_BLOCK, flat.size),), np.uint64)
     for lo in range(0, flat.size, _BLOCK):
         block = flat[lo : lo + _BLOCK]
         block *= _GOLDEN
@@ -175,28 +224,51 @@ def uniform_bits(
     return words
 
 
-def sign_samples(seed: int, stream: int, count: int, width: int, start: int = 0) -> np.ndarray:
-    """Uniform +-1 floats of shape (count, width)."""
-    bits = uniform_bits(seed, stream, count, width, start)
-    return np.where(bits >> _U64(63), 1.0, -1.0)
-
-
-def _open_unit(bits: np.ndarray) -> np.ndarray:
-    # (0, 1]: avoids log(0) in Box-Muller.
-    return (bits.astype(np.float64) + 1.0) * 2.0**-64
+def sign_samples(
+    seed: int, stream: int, count: int, width: int, start: int = 0, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Uniform +-1 of shape (count, width): floats, or written into `out`,
+    float or complex, as 2 b - 1 for the top bit b of each word (exact)."""
+    bits = uniform_bits(seed, stream, count, width, start, out=_words(count, width))
+    bits >>= _U64(63)
+    out = np.empty((count, width)) if out is None else out
+    np.multiply(bits, 2.0, out=out)
+    out -= 1.0
+    return out
 
 
 def gaussian_samples(
-    seed: int, stream: int, count: int, width: int, variant: str = "complex", start: int = 0
+    seed: int,
+    stream: int,
+    count: int,
+    width: int,
+    variant: str = "complex",
+    start: int = 0,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Unit-variance Gaussians: complex (E|g|^2 = 1) or real N(0, 1)."""
+    """Unit-variance Gaussians: complex (E|g|^2 = 1) or real N(0, 1), by
+    Box-Muller from the words of 2 * width columns; written into `out`
+    (C-contiguous, complex or float by variant) when it is given."""
     if variant not in ("complex", "real"):
         raise DomainError(f"unknown gaussian variant {variant!r}")
-    bits = uniform_bits(seed, stream, count, 2 * width, start)
-    radius = np.sqrt(-2.0 * np.log(_open_unit(bits[:, :width])))
+    bits = uniform_bits(seed, stream, count, 2 * width, start, out=_words(count, 2 * width))
+    radius = _WORKSPACE.take("radius", (count, width))
+    radius[...] = bits[:, :width]  # (w + 1) 2^-64 in (0, 1]: no log(0)
+    radius += 1.0
+    radius *= 2.0**-64
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
     if variant == "real":
-        return radius * np.cos(bits[:, width:].astype(np.float64) * _TURN)
-    z = fixed_point_to_complex(bits[:, width:])
+        g = np.empty((count, width)) if out is None else out
+        g[...] = bits[:, width:]
+        g *= _TURN
+        np.cos(g, out=g)
+        g *= radius
+        return g
+    angles = _WORKSPACE.take("angles", (count, width), np.uint64)
+    angles[...] = bits[:, width:]  # contiguous: a strided input is copied whole
+    z = fixed_point_to_complex(angles, out=out)
     z *= radius
     z *= math.sqrt(0.5)
     return z
@@ -211,8 +283,9 @@ _LOW_BITS = 64 - _TABLE_BITS
 _ROOTS = np.exp(1j * ((np.arange(1 << _TABLE_BITS, dtype=np.uint64) << _U64(_LOW_BITS)) * _TURN))
 
 
-def fixed_point_to_complex(numerators: np.ndarray) -> np.ndarray:
-    """e^{2 pi i w / 2^64} for uint64 words w, as complex128 of their shape.
+def fixed_point_to_complex(numerators: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """e^{2 pi i w / 2^64} for uint64 words w, as complex128 of their shape,
+    written into `out` (C-contiguous) when it is given.
 
     Only the 2^_TABLE_BITS table entries come from libm; every other step is
     one correctly rounded IEEE + or x on float64 (no fused multiply-add, no
@@ -222,10 +295,10 @@ def fixed_point_to_complex(numerators: np.ndarray) -> np.ndarray:
     Worked one cache-sized block at a time: beside the output it allocates a
     few blocks of scratch, and a contiguous copy of a strided input."""
     words = np.asarray(numerators, dtype=np.uint64)
-    out = np.empty(words.shape, dtype=np.complex128)
+    out = np.empty(words.shape, dtype=np.complex128) if out is None else out
     words, flat = words.reshape(-1), out.reshape(-1)
     n = min(_BLOCK, words.size)
-    phi, phi2, cos, sin = np.empty((4, n))  # one allocation: four would fragment the heap
+    phi, phi2, cos, sin = _WORKSPACE.take("phases", (4, n))  # one allocation: four would fragment the heap
     for lo in range(0, words.size, _BLOCK):
         w = words[lo : lo + _BLOCK]
         k = w.size
@@ -255,11 +328,16 @@ def fixed_point_to_complex(numerators: np.ndarray) -> np.ndarray:
     return out
 
 
-def steinhaus_samples(seed: int, stream: int, count: int, width: int, start: int = 0) -> np.ndarray:
-    return fixed_point_to_complex(uniform_bits(seed, stream, count, width, start))
+def steinhaus_samples(
+    seed: int, stream: int, count: int, width: int, start: int = 0, out: np.ndarray | None = None
+) -> np.ndarray:
+    words = uniform_bits(seed, stream, count, width, start, out=_words(count, width))
+    return fixed_point_to_complex(words, out=out)
 
 
-def character_values(exponents: np.ndarray, fractions: np.ndarray) -> np.ndarray:
+def character_values(
+    exponents: np.ndarray, fractions: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Evaluate monomials z^alpha at fixed-point torus samples.
 
     exponents: (terms, variables) integer matrix (any sign / magnitude).
@@ -270,18 +348,20 @@ def character_values(exponents: np.ndarray, fractions: np.ndarray) -> np.ndarray
     the order of the adds can change a byte of the result.  The sums run one
     cache-sized block of samples at a time, each product through one scratch
     row, and are written transposed into the words: beside the angles, the
-    words and the output, nothing of the panel's size is allocated.
+    words and the output, nothing of the panel's size is allocated.  The
+    output is written into `out` (C-contiguous) when it is given.
     """
-    angles = np.ascontiguousarray(fractions.T)  # a contiguous row per variable
+    angles = _WORKSPACE.take("angles", fractions.shape[::-1], np.uint64)
+    np.copyto(angles, fractions.T)  # a contiguous row per variable
     samples, terms = fractions.shape[0], exponents.shape[0]
     nonzero = [
         (t, j, _U64(int(exponents[t, j]) & _MASK))
         for t, j in zip(*(axis.tolist() for axis in np.nonzero(exponents)))
     ]
-    words = np.empty((samples, terms), dtype=np.uint64)
+    words = _WORKSPACE.take("character words", (samples, terms), np.uint64)
     n = min(_BLOCK, samples)
-    sums = np.empty((terms, n), dtype=np.uint64)
-    row = np.empty(n, dtype=np.uint64)
+    sums = _WORKSPACE.take("block sums", (terms, n), np.uint64)
+    row = _WORKSPACE.take("row", (n,), np.uint64)
     for lo in range(0, samples, _BLOCK):
         k = min(_BLOCK, samples - lo)
         acc, product = sums[:, :k], row[:k]
@@ -291,11 +371,11 @@ def character_values(exponents: np.ndarray, fractions: np.ndarray) -> np.ndarray
             acc[t] += product
         words[lo : lo + k] = acc.T
     del angles, sums, row  # before the output is allocated
-    return fixed_point_to_complex(words)
+    return fixed_point_to_complex(words, out=out)
 
 
 def torus_characters(
-    exponents: np.ndarray, seed: int, stream: int, start: int, count: int
+    exponents: np.ndarray, seed: int, stream: int, start: int, count: int, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Rows [start, start + count) of the panel of z^alpha at the torus
     draws of (seed, stream), one row per draw and one column per term.
@@ -304,10 +384,12 @@ def torus_characters(
     words, are those of the full (samples, variables) draw, and an unused
     variable contributes exponent 0, so the bytes are those of the full panel.
     Rows are pure functions of their index, so a chunk and the same rows of a
-    panel drawn whole agree bit for bit."""
+    panel drawn whole agree bit for bit.  The panel is written into `out`
+    (C-contiguous) when it is given."""
     used = np.flatnonzero(exponents.any(axis=0))
-    fractions = uniform_bits(seed, stream, count, exponents.shape[1], start, columns=used)
-    return character_values(exponents[:, used], fractions)
+    words = _words(count, used.size)
+    fractions = uniform_bits(seed, stream, count, exponents.shape[1], start, columns=used, out=words)
+    return character_values(exponents[:, used], fractions, out=out)
 
 
 def grid_characters(

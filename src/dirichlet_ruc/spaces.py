@@ -26,14 +26,18 @@ import numpy as np
 from .bohr import TorusPoint
 from .errors import ArityError, DomainError, ResourceError, ShapeError
 from .sampling import (
-    MODE_EXACT, MODE_QUADRATURE, _CHUNK_BUDGET, Estimate, GridPolicy, PowerMoments, _grid_sizes,
-    _half_points,
+    MODE_EXACT, MODE_QUADRATURE, _CHUNK_BUDGET, _WORKSPACE, Estimate, GridPolicy, PowerMoments,
+    _grid_sizes, _half_points,
 )
 
 INNER_GRID = GridPolicy(factor=8, min_size=64, max_points=1 << 22)
 NORM_GRID = GridPolicy(factor=16, min_size=128, max_points=1 << 22)  # norm: INNER_GRID is its half
 
 _PATTERN_CHUNK = 1 << 13  # multiplier columns per block in a coordinate space
+# panel entries (multipliers) and product values per column block of a
+# Monte Carlo pass in a coordinate space (512 KiB of complex): its draws and
+# products are held in the thread's workspace and stay in cache
+_PANEL_BLOCK = 1 << 15
 # product values per column block of a function-space norms call (4 MiB of
 # complex), set by measurement: glibc sizes its mmap threshold from the
 # largest block freed, and smaller blocks left more later allocations
@@ -278,11 +282,14 @@ def _coordinate_rule(space: SpaceSpec):
     return (lambda mags: mags**r), np.add, (lambda total: total ** (1.0 / r))
 
 
-def coordinate_norms(space: SpaceSpec, combos: np.ndarray, axis: int = 0) -> np.ndarray:
+def coordinate_norms(
+    space: SpaceSpec, combos: np.ndarray, axis: int = 0, moduli: np.ndarray | None = None
+) -> np.ndarray:
     """Norms under the space's norm of the vectors along `axis` of combos,
-    such as the columns of a (d, m) matrix."""
+    such as the columns of a (d, m) matrix; |combos| is written into
+    `moduli`, a float array of combos' shape, when it is given."""
     term, combine, root = _coordinate_rule(space)
-    return root(combine.reduce(term(np.abs(combos)), axis=axis))
+    return root(combine.reduce(term(np.abs(combos, out=moduli)), axis=axis))
 
 
 def coordinate_norms_of_rows(space: SpaceSpec, rows: Iterable[np.ndarray]) -> np.ndarray:
@@ -344,7 +351,8 @@ class CombinationEvaluator:
     sum_n eps_k[n] C[n, m] x_n: the R families eps_k x are stacked, so one
     product evaluates them all, and column m under pattern k gives norm
     m * R + k.  In a function space the columns are evaluated a column
-    block of about _BLOCK_VALUES product values at a time (_column_blocks).
+    block of about _BLOCK_VALUES product values at a time (_column_blocks);
+    in a coordinate space the product and its moduli are the workspace's.
     """
 
     def __init__(
@@ -388,8 +396,11 @@ class CombinationEvaluator:
                 f"expected {len(self.xs)} coefficient rows, got {c.shape[0]}"
             )
         if self._grid is None:
-            values = (self._stacked @ c).reshape(self.patterns, -1, c.shape[1])
-            return coordinate_norms(self.space, values, axis=1).T.reshape(-1)
+            shape = (self.patterns, self._stacked.shape[0] // self.patterns, c.shape[1])
+            product = _WORKSPACE.take("product", shape, np.complex128)
+            np.matmul(self._stacked, c, out=product.reshape(-1, c.shape[1]))
+            moduli = _WORKSPACE.take("moduli", shape)
+            return coordinate_norms(self.space, product, axis=1, moduli=moduli).T.reshape(-1)
         r, rows, groups = self.space.r, self._stacked.shape[0], self.patterns
         blocks = _column_blocks(c.shape[1], rows)
         size = rows * max(hi - lo for lo, hi in blocks)
@@ -411,16 +422,17 @@ class CombinationEvaluator:
         return norms
 
 
-def _column_blocks(columns: int, rows: int) -> list[tuple[int, int]]:
-    """[lo, hi) column ranges of a function-space norms call over `rows`
-    product rows: about _BLOCK_VALUES values each, and at most
-    max(_BLOCK_VALUES, 8 * rows) + rows, the last block with a joined
+def _column_blocks(columns: int, rows: int, values: int | None = None) -> list[tuple[int, int]]:
+    """[lo, hi) column ranges of `columns` columns of `rows` values each
+    (a function-space norms call's product rows, a Monte Carlo pass's
+    multipliers): about `values` values each (default _BLOCK_VALUES), and
+    at most max(values, 8 * rows) + rows, the last block with a joined
     1-column remainder.  A column's norm is the same in any block
     when every block but the last is a multiple of 8 columns wide, so that
     BLAS column tails fall on the same columns, and no block has 1 column
     unless the call has 1: numpy sends a 1-column product to gemv and sums
     a 1-column mean pairwise, and both round differently."""
-    width = max(8, _BLOCK_VALUES // rows // 8 * 8)
+    width = max(8, (_BLOCK_VALUES if values is None else values) // rows // 8 * 8)
     bounds = [*range(0, columns, width), columns]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
         del bounds[-2]  # the 1-column remainder joins the block before it
@@ -474,10 +486,16 @@ def combination_moments(
 
     Chunks hold _PATTERN_CHUNK norms in a coordinate space, and
     _CHUNK_BUDGET grid values in a function space, where the same columns on
-    the half grid give the quadrature error.  With `patterns`, an (N, R)
-    array of signs, every column is taken under each pattern (see
-    CombinationEvaluator), point-major, and each pattern's powers are summed
-    on their own: one Estimate per power and pattern, power-major.  With
+    the half grid give the quadrature error.  A Monte Carlo pass in a
+    coordinate space draws and evaluates each chunk in column blocks of
+    about _PANEL_BLOCK multipliers and as many product values
+    (_column_blocks over max(d, N) rows), in buffers held by the thread's
+    workspace; its powers are still summed a chunk at a time, and
+    draw(lo, n) may hand out a view of the workspace's "panel" buffer.
+    With `patterns`, an (N, R) array of signs, every column is taken under
+    each pattern (see CombinationEvaluator), point-major, and each
+    pattern's powers are summed on their own: one Estimate per power and
+    pattern, power-major.  With
     `mirrored` the columns are sign patterns [0, count) of 2 * count: sums
     still run over chunks of all the patterns in pattern order, so a single
     chunk is extended by its reverse, and with several chunks the reverse of
@@ -555,10 +573,20 @@ def _moment_pass(
     summed = None  # the chunks' combinations, when built from the first chunk's
     if signs and is_coordinate(space) and patterns is None and count > chunk:
         summed = _sign_chunks(evaluator.matrix, draw(0, chunk), count)
+    blocked = mc and is_coordinate(space)
     for lo in range(0, count, chunk):
         n = min(chunk, count - lo)
         half = None if is_coordinate(space) else np.empty(n * groups)
-        g = evaluator.norms(draw(lo, n), half) if summed is None else coordinate_norms(space, next(summed))
+        if blocked:
+            with _WORKSPACE.holding():
+                g = _WORKSPACE.take("norms", (n * groups,))
+                # rows: the panel's (N) or the product's (d), whichever is more
+                for a, b in _column_blocks(n, max(evaluator.matrix.shape), _PANEL_BLOCK):
+                    g[a * groups : b * groups] = evaluator.norms(draw(lo + a, b - a))
+        elif summed is None:
+            g = evaluator.norms(draw(lo, n), half)
+        else:
+            g = coordinate_norms(space, next(summed))
         if rough is not None:
             rough.add(g.reshape(n, groups)[coarse[lo : lo + n]])
         for g, acc in zip((g, half), moments):

@@ -2,10 +2,16 @@
 every norm average, checked against numpy on the estimators' own draws."""
 
 import math
+import sys
+import threading
+import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirichlet_ruc import (
     DirichletPolynomial,
@@ -43,7 +49,7 @@ from dirichlet_ruc.sampling import (
     torus_characters,
 )
 from dirichlet_ruc.randomized import _gaussian_abs_moment
-from dirichlet_ruc.spaces import CombinationEvaluator, closed_form, norm as space_norm
+from dirichlet_ruc.spaces import CombinationEvaluator, closed_form, coordinate_norms, norm as space_norm
 
 from conftest import HALF_INNER_GRID
 
@@ -344,3 +350,130 @@ def test_monte_carlo_stderr_of_nearly_constant_norms_matches_two_pass(q):
     assert est.value == pytest.approx(value, rel=1e-14)
     two_pass = math.sqrt(var / n) * value / (q * mean)
     assert est.stderr == pytest.approx(two_pass, rel=1e-12, abs=0)
+
+
+# --- Monte Carlo passes in coordinate spaces: column blocks, held buffers
+
+
+def _one_product_per_chunk(space, xs, draw, count, q):
+    """A Monte Carlo pass in a coordinate space as it ran before column
+    blocks: each chunk of _PATTERN_CHUNK columns drawn whole, as a fresh
+    panel, and evaluated by one product."""
+    matrix = np.column_stack(xs)
+    moments = PowerMoments([q], mc=True)
+    for lo in range(0, count, spaces._PATTERN_CHUNK):
+        c = np.asarray(draw(lo, min(spaces._PATTERN_CHUNK, count - lo)), dtype=np.complex128)
+        moments.add(coordinate_norms(space, (matrix @ c)[None], axis=1).T.reshape(-1))
+    return moments.estimates()[0]
+
+
+def _monte_carlo_call(kind, space, xs, q, cfg):
+    """(the library's Estimate, the one-product-per-chunk rule's) for one of
+    the four Monte Carlo averages of a coordinate space."""
+    m = len(xs)
+    if kind == "hp_norm":
+        D = DirichletPolynomial(space, dict(zip(range(2, m + 2), xs)))
+        lifted, exps, _ = lift_arrays(D)
+        draw = lambda lo, n: torus_characters(exps, cfg.seed, STREAM_TORUS, lo, n).T  # noqa: E731
+        return hp_norm(D, q, cfg, method="mc"), _one_product_per_chunk(space, lifted, draw, cfg.samples, q)
+    if kind == "steinhaus":
+        est = steinhaus_average(xs, space, q, cfg)
+        draw = lambda lo, n: steinhaus_samples(cfg.seed, STREAM_STEINHAUS, n, m, start=lo).T  # noqa: E731
+    elif kind == "gaussian":
+        est = gaussian_average(xs, space, q, cfg)
+        draw = lambda lo, n: gaussian_samples(cfg.seed, STREAM_GAUSSIAN, n, m, start=lo).T  # noqa: E731
+    else:
+        assert m > cfg.exact_cutoff  # sampled signs
+        est = rademacher_average(xs, space, q, cfg)
+        draw = lambda lo, n: sign_samples(cfg.seed, STREAM_SIGNS, n, m, start=lo).T  # noqa: E731
+    return est, _one_product_per_chunk(space, xs, draw, cfg.samples, q)
+
+
+MONTE_CARLO_KINDS = ["hp_norm", "steinhaus", "gaussian", "rademacher"]
+
+
+@st.composite
+def _monte_carlo_cases(draw):
+    kind = draw(st.sampled_from(MONTE_CARLO_KINDS))
+    d = draw(st.integers(1, 16))  # a product taller than the panel sets the blocks
+    spaces_of_d = [HilbertSpace(d), SupSpace(d), SequenceSpace(1.0, d), SequenceSpace(3.0, d)]
+    space = draw(st.sampled_from(spaces_of_d))
+    m = draw(st.integers(2, 12))
+    q = draw(st.sampled_from([1.0, 3.0]))
+    budget = draw(st.sampled_from([8, 64, 100, 256]))  # panel entries per block, patched small
+    width = max(8, budget // max(d, m) // 8 * 8)
+    samples = draw(st.sampled_from([1, 7, 8, 9, width - 1, width + 1, 8191, 8193, 20_000]))
+    seed = draw(st.integers(0, 2**31))
+    return kind, space, m, q, budget, samples, seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(_monte_carlo_cases())
+def test_blocked_monte_carlo_passes_equal_one_product_per_chunk_bitwise(case):
+    kind, space, m, q, budget, samples, seed = case
+    rng = np.random.default_rng(seed)
+    xs = _vectors(rng, space.d, m)
+    cfg = SamplerConfig(seed=seed, samples=max(samples, 1), exact_cutoff=1)
+    with mock.patch.object(spaces, "_PANEL_BLOCK", budget):
+        est, expected = _monte_carlo_call(kind, space, xs, q, cfg)
+    assert (est.mode, est.samples_used) == ("mc", cfg.samples)
+    assert est.value.hex() == expected.value.hex()
+    assert est.stderr.hex() == expected.stderr.hex()
+
+
+def _workload_calls(seed):
+    """The four Monte Carlo averages on 24 vectors in SupSpace(8), 20,000
+    samples, as the mc_norms benchmark runs them."""
+    rng = np.random.default_rng(seed)
+    space = SupSpace(8)
+    xs = _vectors(rng, 8, 24)
+    cfg = SamplerConfig(seed=seed, samples=20_000)  # 24 signs: sampled
+    D = DirichletPolynomial(space, dict(zip(range(2, 26), xs)))
+    return [
+        lambda: hp_norm(D, 3.0, cfg, method="mc"),
+        lambda: steinhaus_average(xs, space, 1.0, cfg),
+        lambda: gaussian_average(xs, space, 3.0, cfg),
+        lambda: rademacher_average(xs, space, 1.0, cfg),
+    ]
+
+
+def test_warm_monte_carlo_passes_allocate_less_than_a_mib():
+    # Each chunk's panel, words and products were fresh arrays of several
+    # MiB, whose pages faulted afresh in every chunk; the thread's workspace
+    # now holds block-sized buffers across chunks and calls.
+    calls = _workload_calls(61)
+    for call in calls:
+        call()
+    for call in calls:
+        tracemalloc.start()
+        try:
+            est = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.mode == "mc"
+        assert peak <= 1 << 20
+
+
+def test_threads_draw_into_their_own_workspaces(monkeypatch):
+    monkeypatch.setattr(spaces, "_PANEL_BLOCK", 1 << 10)  # many blocks: many switches between threads
+    seeds = [71, 72, 73, 74]
+    serial = [[call() for call in _workload_calls(seed)] for seed in seeds]
+    results = [None] * len(seeds)
+
+    def run(i):
+        results[i] = [call() for call in _workload_calls(seeds[i])]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(seeds))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 120
+        for thread in threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == serial

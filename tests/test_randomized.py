@@ -390,9 +390,9 @@ def test_sign_moments_evaluate_half_of_the_patterns(m, ranges, monkeypatch):
         evaluated.append((lo, hi))
         return sign_patterns(m, lo, hi)
 
-    def counted(space, combos, axis=0):
+    def counted(space, combos, axis=0, **kwargs):
         columns.append(combos.shape[-1])
-        return norms(space, combos, axis)
+        return norms(space, combos, axis, **kwargs)
 
     monkeypatch.setattr(randomized, "_sign_patterns", recorded)
     monkeypatch.setattr(spaces, "coordinate_norms", counted)
@@ -480,10 +480,10 @@ def test_rademacher_average_enumerates_up_to_exact_cutoff():
 def test_hprad_enumerates_up_to_exact_cutoff(monkeypatch):
     outer_draws = []
 
-    def recorded(seed, stream, count, width, start=0):
+    def recorded(seed, stream, count, width, start=0, **kwargs):
         if stream == STREAM_OUTER_SIGNS:
             outer_draws.append((count, width))
-        return sign_samples(seed, stream, count, width, start)
+        return sign_samples(seed, stream, count, width, start, **kwargs)
 
     monkeypatch.setattr(randomized, "sign_samples", recorded)
     rng = np.random.default_rng(518)

@@ -288,9 +288,9 @@ def _counting_character_values(monkeypatch):
     calls = []
     original = sampling.character_values
 
-    def counted(exponents, fractions):
+    def counted(exponents, fractions, **kwargs):
         calls.append((fractions.shape[0], exponents.tobytes()))
-        return original(exponents, fractions)
+        return original(exponents, fractions, **kwargs)
 
     monkeypatch.setattr(sampling, "character_values", counted)
     return calls

@@ -89,7 +89,7 @@ def test_gaussian_moments():
 # --- sparse character engine: bytes equal to the all-variables draw and loop
 
 
-def _character_values_all_variables(exponents, fractions):
+def _character_values_all_variables(exponents, fractions, **kwargs):
     """character_values as it was before the sparse engine: one add over the
     whole (samples, terms) accumulator per variable, zero exponents included."""
     samples = fractions.shape[0]
@@ -101,7 +101,7 @@ def _character_values_all_variables(exponents, fractions):
     with np.errstate(over="ignore"):
         for j in range(variables):
             acc += fractions[:, j : j + 1] * exp_u64[None, :, j]
-    return fixed_point_to_complex(acc)
+    return fixed_point_to_complex(acc, **kwargs)
 
 
 def _character_values_per_exponent(exponents, fractions):
@@ -116,9 +116,9 @@ def _character_values_per_exponent(exponents, fractions):
     return fixed_point_to_complex(acc.T.copy())
 
 
-def _dense_torus_characters(exponents, seed, stream, start, count):
+def _dense_torus_characters(exponents, seed, stream, start, count, **kwargs):
     fractions = uniform_bits(seed, stream, count, exponents.shape[1], start)
-    return _character_values_all_variables(exponents, fractions)
+    return _character_values_all_variables(exponents, fractions, **kwargs)
 
 
 _EXPONENT = st.one_of(
@@ -194,9 +194,9 @@ def test_character_values_allocates_nothing_of_panel_size(monkeypatch):
     peaks = []
     exponential = sampling.fixed_point_to_complex
 
-    def probe(words):
+    def probe(words, **kwargs):
         peaks.append(tracemalloc.get_traced_memory()[1])
-        return exponential(words)
+        return exponential(words, **kwargs)
 
     monkeypatch.setattr(sampling, "fixed_point_to_complex", probe)
     tracemalloc.start()
