@@ -37,7 +37,6 @@ from .sampling import (
     _grid_sizes,
     _held_columns,
     _panel,
-    block_stderr,
     combined_stderr,
     gaussian_samples,
     sign_samples,
@@ -423,10 +422,10 @@ def hprad_norm(
     patterns that grid rotations and negation carry into each other
     (_grid_cosets), and the half grid's gap is the error.  Otherwise inner
     H_p norms share one polytorus sample panel across all sign patterns
-    (common random numbers); the stderr combines 10-block panel resampling
-    with pattern-sampling variance and is approximate.  The same plan
-    (_HpradPlan) gives ruc_ratio its plain norm, the identity pattern's
-    average, from either pass; alone, the Monte Carlo pass skips it.
+    (common random numbers); the stderr is the delta method's on that panel,
+    combined with the pattern-sampling variance when signs are sampled.  The
+    same plan (_HpradPlan) gives ruc_ratio its plain norm, the identity
+    pattern's average, from either pass; alone, the Monte Carlo pass skips it.
 
     The Monte Carlo route evaluates every pattern, not one per coset of the
     whole torus: another pattern of a coset is its representative at a
@@ -461,8 +460,6 @@ def _mc_hprad(
     width = signs.shape[1]
 
     evaluator = CombinationEvaluator(space, xs)
-    blocks = min(10, samples)
-    bounds = [-(-b * samples // blocks) for b in range(blocks + 1)]  # contiguous blocks
 
     coordinate = is_coordinate(space)
     if coordinate:
@@ -478,7 +475,10 @@ def _mc_hprad(
     # characters are drawn for many chunks at once; rows depend on their index alone
     panel_rows = z_chunk * -(-_PANEL_ENTRIES // (z_chunk * m))
 
-    power_sums = np.zeros((blocks, evaluated))
+    power_sums = np.zeros(evaluated)
+    # the value's linearization h(z) = sum_k w_k g_k(z)^p, w_k its slope in
+    # pattern k's mean of g^p at the first chunk's mean (0 where that is 0)
+    linear, weights = PowerMoments([1.0], mc=True), None
     half_sums = np.zeros(evaluated)  # per pattern, on the half inner grid
     # the identity's norms, and in a function space those on the half inner grid
     plain_moments = []
@@ -510,15 +510,17 @@ def _mc_hprad(
             acc.add(values.reshape(count, -1)[:, identity])
         g **= p  # in place, once the identity's norms are summed
         gp = g.reshape(count, -1)[:, :evaluated]
-        for b in range(blocks):
-            rows = slice(max(bounds[b], lo) - lo, min(bounds[b + 1], lo + count) - lo)
-            if rows.start < rows.stop:
-                power_sums[b] += gp[rows].sum(axis=0)
+        sums = gp.sum(axis=0)
+        power_sums += sums
+        if weights is None:  # the mirrored half has the same means
+            first = sums / count
+            weights = np.power(first, 1.0 / p - 1.0, out=np.zeros(evaluated), where=first > 0)
+            weights /= p * evaluated
+        linear.add(gp @ weights)
     if mirrored:
         power_sums, half_sums = _mirrored(power_sums), _mirrored(half_sums)
 
-    total_means = power_sums.sum(axis=0) / samples  # per-pattern E_z g^p
-    inner = total_means ** (1.0 / p)
+    inner = (power_sums / samples) ** (1.0 / p)  # per pattern, (E_z g^p)^(1/p)
     value = float(inner.mean())
     quad_error = rough = 0.0
     if not coordinate:
@@ -534,9 +536,7 @@ def _mc_hprad(
             positive = denominator.value > 0 and den_rough > 0
             gap = abs(value / denominator.value - rough / den_rough) if positive else math.inf
 
-    counts = np.diff(bounds)
-    block_values = [float(((power_sums[b] / counts[b]) ** (1.0 / p)).mean()) for b in range(blocks)]
-    stderr = block_stderr(np.array(block_values))
+    stderr = linear.estimates()[0].stderr
     if not exact_outer and patterns > 1:
         stderr = math.sqrt(stderr**2 + float(inner.var(ddof=1)) / patterns)
     return Estimate(value, stderr, samples, MODE_MC, quad_error), denominator, gap

@@ -451,7 +451,8 @@ class PowerMoments:
     mean, for the stderr alone: with c near the mean, the variance of nearly
     constant norms does not cancel.  Every norm average reports through here,
     so there is one value rule, mean^(1/q) or 0, and one delta-method stderr,
-    sqrt(var / n) * value / (q * mean) with var the unbiased variance of g^q.
+    sqrt(var / n) * value / (q * mean) with var the unbiased variance of g^q,
+    infinite from a single draw.
     """
 
     def __init__(self, powers: Sequence[float], mc: bool = False, groups: int = 1, chunk: int = 0):
@@ -512,7 +513,7 @@ class PowerMoments:
             for k in range(self.groups):
                 mean = float(self.sums[i, k]) / n
                 value = mean ** (1.0 / q) if mean > 0 else 0.0
-                stderr = 0.0
+                stderr = math.inf if self.mc and n < 2 else 0.0  # one draw shows no spread
                 if self.mc and n > 1 and mean > 0:
                     shifted = float(self.shifted[i, k])
                     var = max(float(self.squares[i, k]) - shifted * shifted / n, 0.0) / (n - 1)
@@ -522,12 +523,3 @@ class PowerMoments:
                     quad_error = abs(value - coarse[i * self.groups + k].value)
                 out.append(Estimate(value, stderr, n, mode, quad_error))
         return out
-
-
-def block_stderr(block_values: np.ndarray) -> float:
-    """Stderr of a mean from per-block recomputations (two-stage estimators)."""
-    blocks = np.asarray(block_values, dtype=np.float64)
-    b = blocks.size
-    if b < 2:
-        return 0.0
-    return float(blocks.std(ddof=1)) / math.sqrt(b)

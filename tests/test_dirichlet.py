@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from dirichlet_ruc import (
@@ -19,11 +21,14 @@ from dirichlet_ruc import (
     circle_hp_norm,
     coefficient,
     dirichlet_kernel_l1,
+    factorize,
     hp_norm,
+    index_of,
     partial_sum,
     scalar_polynomial,
     vertical_translate,
 )
+from dirichlet_ruc.dirichlet import lift_arrays
 from dirichlet_ruc.spaces import norm as space_norm
 
 from conftest import assert_close, random_polynomial
@@ -64,6 +69,25 @@ def test_bohr_lift_examples():
     lift = bohr_lift(scalar_polynomial({8: 1, 5: 1}))
     assert sorted(lift.terms) == [(0, 0, 1), (3,)]
     assert lift.variables == 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(st.integers(1, 10**6), st.booleans(), max_size=8))
+def test_lift_round_trips_random_supports(zeros):
+    # zeros[n]: whether the term at n is the zero element
+    space = HilbertSpace(2)
+    D = DirichletPolynomial(space, {n: [0, 0] if zero else [n, 1j] for n, zero in zeros.items()})
+    lift = bohr_lift(D)
+    assert sorted(index_of(alpha) for alpha in lift.terms) == sorted(zeros)  # zero elements too
+    assert all(x is D.terms[index_of(alpha)] for alpha, x in lift.terms.items())
+    xs, exps, ns = lift_arrays(D)
+    assert ns == sorted(n for n, zero in zeros.items() if not zero)
+    assert all(x is D.terms[n] for x, n in zip(xs, ns)) and len(xs) == len(ns)
+    alphas = [list(factorize(n)) for n in ns]
+    width = max(map(len, alphas), default=0)
+    assert exps.shape == (len(ns), width)
+    for row, alpha in zip(exps, alphas):
+        assert row.tolist() == alpha + [0] * (width - len(alpha))
 
 
 def test_hp_norm_parseval_examples():

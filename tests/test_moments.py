@@ -88,7 +88,7 @@ def test_power_moments_value_rule_and_modes():
     assert zero.estimates() == [Estimate(0.0, 0.0, 5, "mc", 0.0)]
     single = PowerMoments([2.0], mc=True)
     single.add(np.array([3.0]))
-    assert single.estimates() == [Estimate(3.0, 0.0, 1, "mc", 0.0)]
+    assert single.estimates() == [Estimate(3.0, math.inf, 1, "mc", 0.0)]  # one draw shows no spread
 
 
 def test_power_moments_merge_adds_sums_and_counts():

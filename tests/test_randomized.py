@@ -38,7 +38,7 @@ from dirichlet_ruc.dirichlet import lift_arrays
 from dirichlet_ruc.sampling import (
     STREAM_OUTER_SIGNS,
     STREAM_TORUS,
-    block_stderr,
+    PowerMoments,
     character_values,
     combined_stderr,
     sign_samples,
@@ -140,7 +140,8 @@ def test_hprad_two_stage_close_to_enumerated_truth():
 def _hprad_full_enumeration(D, p, cfg):
     """(value, stderr) of hprad_norm as computed before the half-pattern
     kernel: all 2^m sign patterns (or the sampled ones), one batched product
-    per chunk of torus samples, per-block sums through boolean masks."""
+    per chunk of torus samples, and the delta method's stderr from the
+    linearization h over every pattern's column."""
     xs, exps, _ = lift_arrays(D)
     m = len(xs)
     exact_outer = m <= cfg.exact_cutoff
@@ -153,8 +154,6 @@ def _hprad_full_enumeration(D, p, cfg):
         signs = sign_samples(cfg.seed, STREAM_OUTER_SIGNS, patterns, m).T
     samples = cfg.samples
     evaluator = CombinationEvaluator(D.space, xs)
-    blocks = min(10, samples)
-    block_of = (np.arange(samples) * blocks) // samples
     coordinate = is_coordinate(D.space)
     if coordinate:
         matrix = np.column_stack(evaluator.xs)
@@ -162,8 +161,8 @@ def _hprad_full_enumeration(D, p, cfg):
     else:
         grid = evaluator.matrix
         z_chunk = max(1, (1 << 22) // max(grid.shape[0] * patterns, 1))
-    power_sums = np.zeros((blocks, patterns))
-    counts = np.zeros(blocks, dtype=np.int64)
+    power_sums = np.zeros(patterns)
+    linear, weights = PowerMoments([1.0], mc=True), None
     for lo in range(0, samples, z_chunk):
         count = min(z_chunk, samples - lo)
         fractions = uniform_bits(cfg.seed, STREAM_TORUS, count, exps.shape[1], start=lo)
@@ -178,21 +177,25 @@ def _hprad_full_enumeration(D, p, cfg):
             values = np.tensordot(grid, coeff, axes=([1], [1]))
             g = (np.abs(values) ** D.space.r).mean(axis=0) ** (1.0 / D.space.r)
         gp = g**p
-        for b in range(blocks):
-            mask = block_of[lo : lo + count] == b
-            if mask.any():
-                power_sums[b] += gp[mask].sum(axis=0)
-                counts[b] += int(mask.sum())
-    inner = (power_sums.sum(axis=0) / samples) ** (1.0 / p)
-    block_values = [
-        float(((power_sums[b] / counts[b]) ** (1.0 / p)).mean())
-        for b in range(blocks)
-        if counts[b] > 0
-    ]
-    stderr = block_stderr(np.array(block_values))
+        sums = gp.sum(axis=0)
+        power_sums += sums
+        if weights is None:  # slopes of the mean over patterns at the first chunk's means
+            first = sums / count
+            weights = np.array([y ** (1.0 / p - 1.0) / (p * patterns) if y > 0 else 0.0 for y in first])
+        linear.add(gp @ weights)
+    inner = (power_sums / samples) ** (1.0 / p)
+    stderr = linear.estimates()[0].stderr
     if not exact_outer and patterns > 1:
         stderr = math.sqrt(stderr**2 + float(inner.var(ddof=1)) / patterns)
     return float(inner.mean()), stderr
+
+
+def _assert_full_enumeration(est, D, p, cfg, label=None):
+    """The value bit for bit; the stderr to rounding, as the reference sums
+    h over all 2^m patterns where the kernel sums over half of them."""
+    value, stderr = _hprad_full_enumeration(D, p, cfg)
+    assert est.value == value, label
+    assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=0), label
 
 
 def _guard_polynomial(space, m, rng):
@@ -229,7 +232,7 @@ def test_hprad_half_patterns_match_full_enumeration_bitwise(space, samples):
         for p in (1.0, 3.0):
             cfg = SamplerConfig(seed=m, samples=samples, grid_policy=NO_GRID)
             est = hprad_norm(D, p, cfg)
-            assert (est.value, est.stderr) == _hprad_full_enumeration(D, p, cfg), (m, p)
+            _assert_full_enumeration(est, D, p, cfg, (m, p))
 
 
 @pytest.mark.parametrize("space", [SupSpace(4), SequenceSpace(3.0, 1), FunctionLr(3.0, 2)], ids=repr)
@@ -238,7 +241,7 @@ def test_hprad_sampled_outer_matches_previous_loop_bitwise(space):
     D = _guard_polynomial(space, 7, rng)
     cfg = SamplerConfig(seed=3, samples=300, exact_cutoff=5)
     est = hprad_norm(D, 1.0, cfg)
-    assert (est.value, est.stderr) == _hprad_full_enumeration(D, 1.0, cfg)
+    _assert_full_enumeration(est, D, 1.0, cfg)
 
 
 def test_hprad_off_the_grid_route_reports_its_inner_grid_error(monkeypatch):
@@ -249,7 +252,7 @@ def test_hprad_off_the_grid_route_reports_its_inner_grid_error(monkeypatch):
     cfg = SamplerConfig(seed=1, samples=2000, grid_policy=NO_GRID)
     est = hprad_norm(D, 1.0, cfg)
     assert est.mode == "mc" and est.quad_error > 0
-    assert (est.value, est.stderr) == _hprad_full_enumeration(D, 1.0, cfg)
+    _assert_full_enumeration(est, D, 1.0, cfg)
     assert hp_norm(D, 1.0, cfg, method="mc").quad_error > 0  # as the plain norm's does
 
     def half_grid(space, xs):
@@ -463,7 +466,7 @@ def test_hprad_real_gemm_matches_full_enumeration_bitwise(case, seed):
     D = _guard_polynomial(space, m, np.random.default_rng(seed))
     cfg = SamplerConfig(seed=seed, samples=samples, grid_policy=NO_GRID)
     est = hprad_norm(D, p, cfg)
-    assert (est.value, est.stderr) == _hprad_full_enumeration(D, p, cfg)
+    _assert_full_enumeration(est, D, p, cfg)
 
 
 def test_rademacher_average_enumerates_up_to_exact_cutoff():
@@ -475,6 +478,24 @@ def test_rademacher_average_enumerates_up_to_exact_cutoff():
     assert (at.mode, at.samples_used, at.stderr) == ("exact", 16, 0.0)
     past = rademacher_average(xs, space, 3.0, cfg)
     assert (past.mode, past.samples_used) == ("mc", 500) and past.stderr > 0
+
+
+def test_one_draw_reports_an_infinite_stderr():
+    # one draw shows no spread: a stderr of 0 would claim an exact value
+    rng = np.random.default_rng(520)
+    space = SupSpace(3)
+    xs = _vector_family(space, 5, rng)
+    D = DirichletPolynomial(space, dict(zip([2, 3, 5, 6, 7], xs)))
+    one = SamplerConfig(seed=1, samples=1, grid_policy=NO_GRID)
+    sampled = SamplerConfig(seed=1, samples=1, exact_cutoff=2, grid_policy=NO_GRID)
+    for est in (
+        hp_norm(D, 1.0, one, method="mc"),
+        steinhaus_average(xs, space, 1.0, one),
+        hprad_norm(D, 1.0, one),  # every sign pattern, one torus draw
+        hprad_norm(D, 1.0, sampled),  # one sampled pattern
+    ):
+        assert (est.mode, est.samples_used, est.stderr) == ("mc", 1, math.inf)
+        assert math.isfinite(est.value) and est.value > 0
 
 
 def test_hprad_enumerates_up_to_exact_cutoff(monkeypatch):
